@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import struct
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import upfirdn
 
 __all__ = [
     "Waveform",
@@ -101,7 +100,8 @@ def read_wav(path) -> Waveform:
     Multi-channel audio is downmixed by per-frame arithmetic mean.
 
     Raises FileNotFoundError for a missing file, WavFormatError for a
-    malformed container and UnsupportedCodecError for any other codec.
+    malformed container or non-finite float samples, and
+    UnsupportedCodecError for any other codec.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF":
@@ -147,6 +147,8 @@ def read_wav(path) -> Waveform:
     frame_bytes = channels * dtype.itemsize
     usable = len(data_body) - len(data_body) % frame_bytes
     frames = np.frombuffer(data_body[:usable], dtype=dtype)
+    if dtype.kind == "f" and not np.isfinite(frames).all():
+        raise WavFormatError(f"{path}: non-finite samples (NaN or Inf) in float data")
     if channels > 1:
         frames = frames.reshape(-1, channels).mean(axis=1)
     samples = frames.astype(np.float64)
@@ -169,20 +171,17 @@ def write_wav(waveform: Waveform, path) -> None:
         out.writeframes(pcm.tobytes())
 
 
-@dataclass(frozen=True)
-class _Prototype:
-    """Cached windowed-sinc lowpass for one (up, down) pair."""
-
-    taps: np.ndarray = field(repr=False)
-    half: int
+_branch_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
-_prototype_cache: dict[tuple[int, int], _Prototype] = {}
+def _branches(up: int, down: int) -> np.ndarray:
+    """Polyphase branch filters of the windowed-sinc lowpass for one (up, down).
 
-
-def _prototype(up: int, down: int) -> _Prototype:
+    Row r holds taps[r::up] reversed and front-padded to TAPS_PER_PHASE + 1,
+    so a window of the input dotted with row r yields an output at phase r.
+    """
     key = (up, down)
-    got = _prototype_cache.get(key)
+    got = _branch_cache.get(key)
     if got is None:
         half = (TAPS_PER_PHASE // 2) * up
         n_taps = 2 * half + 1
@@ -191,9 +190,9 @@ def _prototype(up: int, down: int) -> _Prototype:
         # in cycles per sample of the intermediate (x up) rate
         cutoff = 0.5 / max(up, down)
         taps = up * 2.0 * cutoff * np.sinc(2.0 * cutoff * m) * np.kaiser(n_taps, KAISER_BETA)
-        got = _Prototype(taps=taps, half=half)
-        if len(_prototype_cache) < 64:
-            _prototype_cache[key] = got
+        got = np.pad(taps, (0, up - 1)).reshape(TAPS_PER_PHASE + 1, up).T[:, ::-1].copy()
+        if len(_branch_cache) < 64:
+            _branch_cache[key] = got
     return got
 
 
@@ -214,24 +213,22 @@ def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
     if len(x) == 0:
         return x.copy()
 
-    proto = _prototype(up, down)
+    branches = _branches(up, down)
     n_out = -(-len(x) * up // down)
-
-    # Pad the filter so its center lands exactly on an output sample, then
-    # pad the tail until upfirdn yields enough samples (same bookkeeping as
-    # scipy.signal.resample_poly, but with our own prototype).
-    n_pre = (down - proto.half % down) % down
-    n_skip = (proto.half + n_pre) // down
-    n_post = 0
-
-    def out_len(filter_len: int) -> int:
-        return ((len(x) - 1) * up + filter_len) // down + 1
-
-    while out_len(len(proto.taps) + n_pre + n_post) < n_out + n_skip:
-        n_post += down
-    taps = np.concatenate([np.zeros(n_pre), proto.taps, np.zeros(n_post)])
-    y = upfirdn(taps, x, up, down)
-    return y[n_skip : n_skip + n_out]
+    # Output j sits at j*down = k*up + r on the (x up) grid: it is the input
+    # window x[k-32 : k+33] dotted with branch r.  Outputs j0, j0+up, ...
+    # share r and step k by `down`.  einsum, unlike matmul, keeps its fast
+    # loop when windows overlap (down < 65), as they do for speed factors.
+    lead = TAPS_PER_PHASE // 2
+    last_k = (n_out - 1) * down // up
+    xpad = np.pad(x, (lead, max(0, last_k + lead + 1 - len(x))))
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, TAPS_PER_PHASE + 1)
+    y = np.empty(n_out)
+    for j0 in range(min(up, n_out)):
+        k0, r = divmod(j0 * down, up)
+        phase = y[j0::up]
+        np.einsum("ij,j->i", windows[k0::down][: len(phase)], branches[r], out=phase)
+    return y
 
 
 def resample(waveform: Waveform, target_rate: int) -> Waveform:

@@ -11,7 +11,7 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .audio_io import read_wav, resample, write_wav
@@ -79,17 +79,19 @@ class ManifestEntry:
     def __post_init__(self):
         if not self.id:
             raise ValueError("manifest entry id must be non-empty")
+        # the id names output files, so it must stay one path component
+        if self.id in (".", "..") or any(c in self.id for c in "/\\\0"):
+            raise ValueError(
+                f"entry id {self.id!r} must be one path component: not '.' or '..', "
+                "and no '/', '\\' or NUL"
+            )
         if not self.audio:
             raise ValueError(f"entry {self.id!r}: audio path must be non-empty")
         if self.gender not in GENDERS:
             raise ValueError(f"entry {self.id!r}: gender {self.gender!r} not in {GENDERS}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"id": self.id, "audio": self.audio, "text": self.text,
-             "speaker": self.speaker, "gender": self.gender},
-            ensure_ascii=False,
-        )
+        return json.dumps(asdict(self), ensure_ascii=False)
 
 
 @dataclass
@@ -111,13 +113,7 @@ class AugmentRecord:
     r2: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"id": self.id, "audio": self.audio, "text": self.text,
-             "speaker": self.speaker, "gender": self.gender,
-             "source_id": self.source_id, "severity": self.severity,
-             "r1": self.r1, "r2": self.r2},
-            ensure_ascii=False,
-        )
+        return json.dumps(asdict(self), ensure_ascii=False)
 
 
 def read_manifest(path) -> list[ManifestEntry]:
@@ -133,13 +129,16 @@ def read_manifest(path) -> list[ManifestEntry]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            entry = ManifestEntry(
-                id=str(obj.get("id", "")),
-                audio=str(obj.get("audio", "")),
-                text=str(obj.get("text", "")),
-                speaker=str(obj.get("speaker", "")),
-                gender=str(obj.get("gender", "unknown")),
-            )
+            try:
+                entry = ManifestEntry(
+                    id=str(obj.get("id", "")),
+                    audio=str(obj.get("audio", "")),
+                    text=str(obj.get("text", "")),
+                    speaker=str(obj.get("speaker", "")),
+                    gender=str(obj.get("gender", "unknown")),
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if entry.id in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate id {entry.id!r}")
             seen.add(entry.id)
@@ -263,7 +262,7 @@ def run_batch(manifest, severities, replication: int, seed: int, out_dir,
     result = BatchResult()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_augment_entry_star, tasks, chunksize=8))
+            outcomes = list(pool.map(_augment_entry, *zip(*tasks), chunksize=8))
     else:
         outcomes = [_augment_entry(*task) for task in tasks]
     for records, failures in outcomes:
@@ -272,7 +271,3 @@ def run_batch(manifest, severities, replication: int, seed: int, out_dir,
             log.warning("skipping %s: %s", entry_id, reason)
         result.failures.extend(failures)
     return result
-
-
-def _augment_entry_star(task):
-    return _augment_entry(*task)

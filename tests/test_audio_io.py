@@ -10,6 +10,7 @@ from dysaug import (
     WavFormatError,
     read_wav,
     resample,
+    resample_sequence,
     write_wav,
 )
 
@@ -88,6 +89,14 @@ class TestReadWav:
         with pytest.raises(WavFormatError, match="data chunk"):
             read_wav(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float32_rejected(self, tmp_path, bad):
+        samples = np.array([0.1, bad, -0.2], dtype="<f4")
+        path = tmp_path / "bad.wav"
+        path.write_bytes(build_wav_bytes(3, 1, 16000, 32, samples.tobytes()))
+        with pytest.raises(WavFormatError, match="non-finite samples"):
+            read_wav(path)
+
     def test_extensible_pcm16(self, tmp_path):
         sub = struct.pack("<H", 1) + b"\x00\x00" + bytes(range(14))
         fmt = struct.pack("<HHIIHHH", 0xFFFE, 1, 16000, 32000, 2, 16, 22) + b"\x10\x00" + b"\x00\x00\x00\x00" + sub[:16]
@@ -160,6 +169,33 @@ class TestResample:
         w = Waveform(np.clip(rng.normal(0, 0.6, 9000), -1, 1), 22050)
         out = resample(w, 16000)
         assert np.max(np.abs(out.samples)) <= 1.0
+
+
+def _dense_resample(x, up, down):
+    """Direct sum y[j] = sum_i x[i] h[j*down - i*up + 32*up] over the prototype."""
+    half = 32 * up
+    m = np.arange(2 * half + 1) - half
+    cutoff = 0.5 / max(up, down)
+    h = up * 2.0 * cutoff * np.sinc(2.0 * cutoff * m) * np.kaiser(2 * half + 1, 8.6)
+    i = np.arange(len(x))
+    y = np.zeros(-(-len(x) * up // down))
+    for j in range(len(y)):
+        idx = j * down - i * up + half
+        inside = (idx >= 0) & (idx <= 2 * half)
+        y[j] = np.dot(x[inside], h[idx[inside]])
+    return y
+
+
+class TestResampleSequence:
+    @pytest.mark.parametrize("up, down", [(160, 441), (441, 160), (320, 441),
+                                          (5, 6), (5, 9), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200, 4000])
+    def test_matches_dense_oracle(self, up, down, n):
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        y = resample_sequence(x, up, down)
+        expected = _dense_resample(x, up, down)
+        assert y.shape == expected.shape
+        np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
 
 
 class TestWaveform:

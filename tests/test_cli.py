@@ -126,6 +126,19 @@ class TestBatch:
                        "--severities", "S1,S2", "--replication", "3")
         assert proc.returncode == 2
 
+    def test_batch_rejects_escaping_id(self, tmp_path):
+        work = tmp_path / "work"
+        work.mkdir()
+        manifest = self._manifest(tmp_path, count=1)
+        with open(manifest, "a", encoding="utf-8") as fout:
+            fout.write(json.dumps({"id": "../escaped", "audio": str(tmp_path / "u0.wav")}) + "\n")
+        proc = run_cli("batch", "--manifest", str(manifest),
+                       "--out-dir", str(work / "out"), "--quiet")
+        assert proc.returncode != 0
+        assert f"{manifest}:2:" in proc.stderr
+        assert "../escaped" in proc.stderr
+        assert [p.name for p in work.iterdir() if p.name != "out"] == []
+
     def test_batch_missing_audio_exits_1(self, tmp_path):
         manifest = self._manifest(tmp_path, count=2)
         with open(manifest, "a", encoding="utf-8") as fout:
@@ -227,6 +240,13 @@ class TestUsage:
         assert proc.returncode == 0
         for name in ("perturb", "batch", "confusion", "correct", "score"):
             assert name in proc.stdout
+
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, dysaug.cli; "
+                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_global_seed_before_subcommand(self, tmp_path):
         manifest = TestBatch()._manifest(tmp_path, count=1)

@@ -1,5 +1,6 @@
 import wave
 
+import numpy as np
 import pytest
 
 from dysaug import (
@@ -16,7 +17,7 @@ from dysaug import (
     write_wav,
 )
 
-from .conftest import make_tone
+from .conftest import build_wav_bytes, make_tone
 
 
 SEVERITY_TABLE = {
@@ -71,6 +72,17 @@ class TestManifest:
     def test_bad_gender(self):
         with pytest.raises(ValueError, match="gender"):
             ManifestEntry(id="u", audio="a.wav", gender="other")
+
+    @pytest.mark.parametrize("bad_id", ["../escaped", "a/b", "a\\b", "nul\0", ".", ".."])
+    def test_id_must_be_one_path_component(self, bad_id):
+        with pytest.raises(ValueError, match="entry id"):
+            ManifestEntry(id=bad_id, audio="a.wav")
+
+    def test_entry_error_names_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "u1", "audio": "a.wav"}\n\n{"id": "../up", "audio": "b.wav"}\n')
+        with pytest.raises(ValueError, match=r"m\.jsonl:3: entry id '\.\./up'"):
+            read_manifest(path)
 
 
 class TestSplitByGender:
@@ -185,6 +197,19 @@ class TestRunBatch:
         assert len(result.records) == 2
         assert len(result.failures) == 1
         assert result.failures[0][0] == "broken"
+
+    def test_non_finite_audio_is_a_per_file_failure(self, tmp_path):
+        entries = _write_manifest(tmp_path, count=2)
+        bad = tmp_path / "nan.wav"
+        samples = np.full(8000, np.nan, dtype="<f4")
+        bad.write_bytes(build_wav_bytes(3, 1, 16000, 32, samples.tobytes()))
+        entries.insert(1, ManifestEntry(id="nan", audio=str(bad)))
+        result = run_batch(entries, ("S1",), 1, 0, tmp_path / "out")
+        assert [r.source_id for r in result.records] == ["utt0", "utt1"]
+        assert len(result.failures) == 1
+        entry_id, reason = result.failures[0]
+        assert entry_id == "nan" and "non-finite samples" in reason
+        assert not (tmp_path / "out" / "nan_S1.wav").exists()
 
     def test_parallel_matches_serial(self, tmp_path):
         entries = _write_manifest(tmp_path, count=4)
