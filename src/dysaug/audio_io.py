@@ -67,6 +67,9 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.float32)
         if self.samples.ndim != 1:
             raise ValueError(f"waveform samples must be 1-D, got shape {self.samples.shape}")
+        # NaN/Inf would reach write_wav's int16 cast, whose result is platform-defined
+        if not np.isfinite(self.samples).all():
+            raise ValueError("waveform has non-finite samples (NaN or Inf)")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 

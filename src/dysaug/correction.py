@@ -12,6 +12,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .scoring import ConfusionMatrix
 
 __all__ = [
@@ -22,6 +24,10 @@ __all__ = [
     "correct_word",
     "correct_sentence",
 ]
+
+# distances this close to the minimum are ties, settled by the frequency,
+# length and lexicographic order rather than by float rounding
+_TIE_TOLERANCE = 1e-12
 
 
 @dataclass(eq=False)
@@ -103,10 +109,12 @@ def profile(word: str, matrix: ConfusionMatrix | None = None) -> dict[str, float
 
 
 def _profile_distance(pa: dict, pb: dict) -> float:
+    # pa's keys in insertion order, then pb's own: profiles are built in
+    # word and matrix-row order, so the float sums never depend on the
+    # string hash seed
     minsum = 0.0
     maxsum = 0.0
-    for c in pa.keys() | pb.keys():
-        a = pa.get(c, 0.0)
+    for c, a in pa.items():
         b = pb.get(c, 0.0)
         if a < b:
             minsum += a
@@ -114,6 +122,9 @@ def _profile_distance(pa: dict, pb: dict) -> float:
         else:
             minsum += b
             maxsum += a
+    for c, b in pb.items():
+        if c not in pa:
+            maxsum += b
     return 1.0 - minsum / maxsum
 
 
@@ -126,33 +137,106 @@ def weighted_jaccard(word_a: str, word_b: str, matrix: ConfusionMatrix | None = 
     return _profile_distance(profile(word_a, matrix), profile(word_b, matrix))
 
 
+class _ProfileIndex:
+    """Dense profiles of every dictionary word, for one (dictionary, matrix).
+
+    Columns are the matrix symbols in matrix order (the null column
+    included), then one hard-count column per dictionary character
+    outside the matrix alphabet, in sorted order.  Rows hold the words
+    sorted by (length, word), so each word length is one contiguous
+    bucket of rows.
+    """
+
+    def __init__(self, dictionary: Dictionary, matrix: ConfusionMatrix | None):
+        words = sorted(dictionary.words, key=lambda w: (len(w), w))
+        lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+        codes = np.frombuffer("".join(words).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        char_codes, char_column = np.unique(codes, return_inverse=True)
+        chars = [chr(c) for c in char_codes.tolist()]
+        counts = np.bincount(
+            np.repeat(np.arange(len(words)), lengths) * len(chars) + char_column.ravel(),
+            minlength=len(words) * len(chars),
+        ).reshape(len(words), len(chars))
+
+        symbols = matrix.symbols if matrix is not None else ()
+        extra = [c for c in chars if matrix is None or c not in matrix]
+        width = len(symbols) + len(extra)
+        # one dense row per character that can occur in a query and in
+        # some profile: every matrix symbol, every dictionary character
+        self._char_rows = {}
+        for j, c in enumerate(extra):
+            self._char_rows[c] = np.zeros(width)
+            self._char_rows[c][len(symbols) + j] = 1.0
+        for i, c in enumerate(symbols):
+            if c:
+                self._char_rows[c] = np.zeros(width)
+                self._char_rows[c][: len(symbols)] = matrix.probabilities[i]
+        rows = np.stack([self._char_rows[c] for c in chars])
+
+        self.words = words
+        self.profiles = counts.astype(np.float64) @ rows
+        self.mass = self.profiles.sum(axis=1)
+        # stable sort of the (length, word) order: ranks by (-freq, length, word)
+        by_key = sorted(range(len(words)), key=lambda i: -dictionary.frequency(words[i]))
+        self.rank = np.empty(len(words), dtype=np.intp)
+        self.rank[by_key] = np.arange(len(words))
+        self.starts = np.flatnonzero(np.diff(lengths, prepend=-1))
+        self.ends = np.append(self.starts[1:], len(words))
+        self.mass_lo = np.minimum.reduceat(self.mass, self.starts)
+        self.mass_hi = np.maximum.reduceat(self.mass, self.starts)
+
+    def nearest(self, word: str) -> str:
+        """The word at minimal distance, ties within _TIE_TOLERANCE going
+        to the lowest (-frequency, length, word)."""
+        q = np.zeros(self.profiles.shape[1])
+        # characters in no profile add to the max-sum only
+        outside = 0.0
+        for c in word:
+            row = self._char_rows.get(c)
+            if row is None:
+                outside += 1.0
+            else:
+                q += row
+        q_mass = q.sum() + outside
+        # sum(max(p, q)) >= max(|p|, |q|) and sum(min(p, q)) <= min(|p|, |q|),
+        # so a bucket whose masses lie in [lo, hi] is at distance at least:
+        bound = np.maximum(1.0 - self.mass_hi / q_mass, 1.0 - q_mass / self.mass_lo)
+        best = np.inf
+        seen = []
+        for b in np.argsort(bound, kind="stable"):
+            if bound[b] > best + _TIE_TOLERANCE:
+                break
+            lo, hi = self.starts[b], self.ends[b]
+            minsum = np.minimum(self.profiles[lo:hi], q).sum(axis=1)
+            # sum(max(p, q)) = |p| + |q| - sum(min(p, q))
+            d = 1.0 - minsum / (self.mass[lo:hi] + q_mass - minsum)
+            best = min(best, d.min())
+            seen.append((lo, d))
+        tied = np.concatenate([lo + np.flatnonzero(d <= best + _TIE_TOLERANCE) for lo, d in seen])
+        return self.words[tied[np.argmin(self.rank[tied])]]
+
+
 @functools.lru_cache(maxsize=8)
-def _dictionary_profiles(dictionary: Dictionary, matrix: ConfusionMatrix | None):
+def _profile_index(dictionary: Dictionary, matrix: ConfusionMatrix | None) -> _ProfileIndex:
     # keyed by object identity; both are immutable after load
-    return [(word, profile(word, matrix)) for word in sorted(dictionary.words)]
+    return _ProfileIndex(dictionary, matrix)
 
 
 def correct_word(word: str, dictionary: Dictionary,
                  matrix: ConfusionMatrix | None = None) -> str:
     """Replace an out-of-vocabulary word by its nearest dictionary word.
 
-    In-vocabulary words are returned unchanged.  Distance ties are broken
-    by higher frequency, then shorter length, then lexicographic order.
+    In-vocabulary words are returned unchanged.  Distances within 1e-12 of
+    the minimum count as ties, broken by higher frequency, then shorter
+    length, then lexicographic order.
     """
     if not len(dictionary):
         raise ValueError("dictionary is empty")
     if word in dictionary:
         return word
-    target = profile(word, matrix)
-    best = None
-    best_key = None
-    for candidate, cand_profile in _dictionary_profiles(dictionary, matrix):
-        d = _profile_distance(target, cand_profile)
-        key = (d, -dictionary.frequency(candidate), len(candidate), candidate)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = candidate
-    return best
+    if not word:
+        raise ValueError("cannot profile an empty word")
+    return _profile_index(dictionary, matrix).nearest(word)
 
 
 def correct_sentence(text: str, dictionary: Dictionary,

@@ -66,7 +66,7 @@ def params_for(severity: str) -> PerturbationParams:
     return PerturbationParams(speed=speed, tempo=tempo, severity=severity)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ManifestEntry:
     """One healthy utterance: id, audio path, transcript and speaker info."""
 

@@ -209,3 +209,14 @@ class TestWaveform:
 
     def test_duration(self):
         assert Waveform(np.zeros(8000), 16000).duration == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite samples"):
+            Waveform(np.array([0.5, bad, -0.5] * 100), 16000)
+
+    def test_write_wav_of_nan_samples_fails_before_writing(self, tmp_path):
+        path = tmp_path / "nan.wav"
+        with pytest.raises(ValueError, match="non-finite samples"):
+            write_wav(Waveform([0.5, np.nan, -0.5] * 100, 16000), path)
+        assert not path.exists()

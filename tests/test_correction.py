@@ -1,10 +1,17 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import dysaug
 from dysaug import (
     ConfusionMatrix,
     Dictionary,
@@ -199,3 +206,75 @@ def test_monotone_benefit_of_confusion_weighting():
     weighted = weighted_jaccard(corrupted, original, m)
     unweighted = weighted_jaccard(corrupted, original)
     assert weighted < unweighted
+
+
+# Dictionary words use "e", which is outside the matrix alphabet; queries
+# add "f" (in the matrix alphabet only) and "x", "z" (in neither).
+MATRIX_ALPHABET = "abcdf"
+
+
+@st.composite
+def matrices(draw):
+    kind = draw(st.sampled_from(["none", "identity", "random"]))
+    if kind == "none":
+        return None
+    if kind == "identity":
+        return ConfusionMatrix.identity(MATRIX_ALPHABET)
+    k = len(MATRIX_ALPHABET) + 1
+    # small integer weights make rows like 1/7, 2/7, ... whose sums tie
+    # only up to float rounding
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=k * k, max_size=k * k)),
+                       dtype=np.float64).reshape(k, k) + np.eye(k)
+    return ConfusionMatrix(symbols=("",) + tuple(MATRIX_ALPHABET),
+                           probabilities=weights / weights.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    freq=st.dictionaries(st.text("abcde", min_size=1, max_size=6), st.integers(0, 2),
+                         min_size=1, max_size=30),
+    matrix=matrices(),
+    query=st.text("abcdefxz", min_size=1, max_size=7),
+)
+def test_correct_word_matches_brute_force_oracle(freq, matrix, query):
+    assume(query not in freq)
+    dictionary = Dictionary.from_words(freq, freq=freq)
+    distance = {w: weighted_jaccard(query, w, matrix) for w in freq}
+    best = min(distance.values())
+    pick = correct_word(query, dictionary, matrix)
+    assert distance[pick] <= best + 1e-12
+    tied = [w for w, d in distance.items() if d <= best + 1e-12]
+    assert pick == min(tied, key=lambda w: (-freq[w], len(w), w))
+
+
+HASH_SEED_SCRIPT = """
+import random
+from tests.test_acceptance import _confusable_setup
+from dysaug import correct_sentence
+
+dictionary, matrix, cases = _confusable_setup()
+queries = [corrupted for _, corrupted, _ in cases]
+rng = random.Random(7)
+while len(queries) < 1000:
+    word = "".join(rng.choices("aeioulmnrbpdtgksz", k=rng.randrange(3, 9)))
+    if word not in dictionary:
+        queries.append(word)
+print(correct_sentence(" ".join(queries), dictionary, matrix))
+print(correct_sentence(" ".join(queries), dictionary))
+"""
+
+
+def test_correction_does_not_depend_on_hash_seed():
+    # the C09 corrupted words plus seeded random out-of-vocabulary words;
+    # a distance summed in hash order once changed about 2% of the picks
+    src = Path(dysaug.__file__).resolve().parent.parent
+    root = Path(__file__).resolve().parent.parent
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(root), str(src)]))
+        proc = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], cwd=root, env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import wave
 
 import numpy as np
@@ -77,6 +78,13 @@ class TestManifest:
     def test_id_must_be_one_path_component(self, bad_id):
         with pytest.raises(ValueError, match="entry id"):
             ManifestEntry(id=bad_id, audio="a.wav")
+
+    def test_entry_is_frozen(self):
+        # validation runs once, in __post_init__, so fields must not change after
+        entry = ManifestEntry(id="u", audio="a.wav")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.id = "../x"
+        assert entry.id == "u"
 
     def test_entry_error_names_line(self, tmp_path):
         path = tmp_path / "m.jsonl"
