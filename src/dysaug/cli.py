@@ -1,8 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 full success, 1 any per-file failure (each failure listed on
-stderr), 2 usage or configuration error.  Diagnostics go to stderr, data to
-files or stdout.
+Exit codes:
+  0  success.
+  1  an input or output file could not be read, parsed or written: a
+     missing or malformed WAV, manifest, dictionary or confusion matrix,
+     refs/hyps files that are not line-aligned, or a clip that `batch`
+     skipped (each skipped clip is logged once on stderr).
+  2  the command line is wrong; this is detected before any file is opened.
+
+Diagnostics go to stderr, data to files or stdout.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .correction import correct_sentence, load_dictionary
 from .pipeline import (
     SEVERITIES,
     PerturbationParams,
+    _check_plan,
     params_for,
     read_manifest,
     run_batch,
@@ -122,81 +129,49 @@ def _read_aligned(refs_path: str, hyps_path: str) -> list[tuple[str, str]]:
 
 def _cmd_perturb(parser, args) -> int:
     params = _perturb_params(parser, args)
-    try:
-        wave = read_wav(args.in_path)
-        out = pertubate_signal(wave, params)
-        write_wav(out, args.out_path)
-    except Exception as exc:
-        print(f"dysaug: {args.in_path}: {exc}", file=sys.stderr)
-        return 1
+    out = pertubate_signal(read_wav(args.in_path), params)
+    write_wav(out, args.out_path)
     log.info("wrote %s (%d samples at %d Hz)", args.out_path, len(out), out.sample_rate)
     return 0
 
 
 def _cmd_batch(parser, args) -> int:
-    labels = [s for s in (part.strip() for part in args.severities.split(",")) if s]
-    for label in labels:
-        if label not in SEVERITIES:
-            parser.error(f"unknown severity {label!r}, choose from {', '.join(SEVERITIES)}")
-    if not labels:
-        parser.error("--severities must name at least one severity")
-    if not 0 < args.replication <= len(set(labels)):
-        parser.error(f"--replication must be in [1, {len(set(labels))}] for these severities")
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
+    labels = [s for s in map(str.strip, args.severities.split(",")) if s]
     try:
-        manifest = read_manifest(args.manifest)
-        result = run_batch(manifest, labels, args.replication, args.seed,
-                           args.out_dir, jobs=args.jobs)
-    except (OSError, ValueError) as exc:
-        print(f"dysaug: {exc}", file=sys.stderr)
-        return 1
+        labels = _check_plan(labels, args.replication, args.jobs)
+    except ValueError as exc:
+        parser.error(str(exc))
+    result = run_batch(read_manifest(args.manifest), labels, args.replication, args.seed,
+                       args.out_dir, jobs=args.jobs)
     out_manifest = Path(args.out_dir) / "manifest.jsonl"
     write_records(result.records, out_manifest)
     log.info("wrote %d records to %s", len(result.records), out_manifest)
-    if result.failures:
-        for entry_id, reason in result.failures:
-            print(f"dysaug: failed {entry_id}: {reason}", file=sys.stderr)
-        return 1
-    return 0
+    # run_batch has already logged each failure
+    return 1 if result.failures else 0
 
 
 def _cmd_confusion(parser, args) -> int:
-    try:
-        pairs = _read_aligned(args.refs, args.hyps)
-        matrix = build_confusion(pairs)
-        matrix.save(args.out_path)
-    except (OSError, ValueError) as exc:
-        print(f"dysaug: {exc}", file=sys.stderr)
-        return 1
+    matrix = build_confusion(_read_aligned(args.refs, args.hyps))
+    matrix.save(args.out_path)
     log.info("wrote %dx%d confusion matrix to %s",
              len(matrix.symbols), len(matrix.symbols), args.out_path)
     return 0
 
 
 def _cmd_correct(parser, args) -> int:
-    try:
-        dictionary = load_dictionary(args.dict_path)
-        matrix = ConfusionMatrix.load(args.confusion) if args.confusion else None
-        lines = _read_lines(args.in_path)
-        with open(args.out_path, "w", encoding="utf-8") as fout:
-            for line in lines:
-                fout.write(correct_sentence(line, dictionary, matrix))
-                fout.write("\n")
-    except (OSError, ValueError) as exc:
-        print(f"dysaug: {exc}", file=sys.stderr)
-        return 1
+    dictionary = load_dictionary(args.dict_path)
+    matrix = ConfusionMatrix.load(args.confusion) if args.confusion else None
+    lines = _read_lines(args.in_path)
+    with open(args.out_path, "w", encoding="utf-8") as fout:
+        for line in lines:
+            fout.write(correct_sentence(line, dictionary, matrix))
+            fout.write("\n")
     log.info("corrected %d lines into %s", len(lines), args.out_path)
     return 0
 
 
 def _cmd_score(parser, args) -> int:
-    try:
-        pairs = _read_aligned(args.refs, args.hyps)
-        report = score(pairs, unit=args.unit)
-    except (OSError, ValueError) as exc:
-        print(f"dysaug: {exc}", file=sys.stderr)
-        return 1
+    report = score(_read_aligned(args.refs, args.hyps), unit=args.unit)
     print("Sub.\tIns.\tDel.\trate")
     print(f"{report.substitutions}\t{report.insertions}\t{report.deletions}"
           f"\t{report.error_rate:.3f}")
@@ -220,7 +195,11 @@ def main(argv=None) -> int:
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(message)s",
     )
-    return _COMMANDS[args.command](parser, args)
+    try:
+        return _COMMANDS[args.command](parser, args)
+    except (OSError, ValueError) as exc:
+        print(f"dysaug: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry_point():

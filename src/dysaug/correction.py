@@ -37,12 +37,13 @@ class Dictionary:
     words: frozenset
     freq: dict
 
+    def __post_init__(self):
+        if not self.words:
+            raise ValueError("dictionary must contain at least one word")
+
     @classmethod
     def from_words(cls, words, freq=None) -> "Dictionary":
-        words = frozenset(words)
-        if not words:
-            raise ValueError("dictionary must contain at least one word")
-        return cls(words=words, freq=dict(freq or {}))
+        return cls(words=frozenset(words), freq=dict(freq or {}))
 
     def frequency(self, word: str) -> int:
         return self.freq.get(word, 0)
@@ -230,8 +231,6 @@ def correct_word(word: str, dictionary: Dictionary,
     the minimum count as ties, broken by higher frequency, then shorter
     length, then lexicographic order.
     """
-    if not len(dictionary):
-        raise ValueError("dictionary is empty")
     if word in dictionary:
         return word
     if not word:

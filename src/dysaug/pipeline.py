@@ -129,6 +129,8 @@ def read_manifest(path) -> list[ManifestEntry]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object")
             try:
                 entry = ManifestEntry(
                     id=str(obj.get("id", "")),
@@ -162,6 +164,20 @@ def split_by_gender(manifest) -> tuple[list, list, list]:
     return female, male, unknown
 
 
+def _check_plan(severities, replication: int, jobs: int = 1) -> list[str]:
+    """Validate a batch plan; return its distinct severity labels, sorted."""
+    labels = sorted(set(severities))
+    if not labels:
+        raise ValueError("severities must name at least one label")
+    for label in labels:
+        params_for(label)  # raises on an unknown label
+    if not 0 < replication <= len(labels):
+        raise ValueError(f"replication must be in [1, {len(labels)}], got {replication}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return labels
+
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -179,11 +195,11 @@ def assign_severities(entry_id: str, severities, replication: int, seed: int) ->
     """Draw `replication` severity labels without replacement for one entry.
 
     The draw depends only on (seed, entry_id), so reordering a manifest
-    never changes which severities an utterance receives.
+    never changes which severities an utterance receives.  Duplicate labels
+    count once; an unknown label or a replication outside [1, number of
+    distinct labels] raises ValueError.
     """
-    pool = sorted(severities)
-    if replication > len(pool):
-        raise ValueError(f"replication {replication} exceeds the {len(pool)} available severities")
+    pool = _check_plan(severities, replication)
     digest = hashlib.sha256(entry_id.encode("utf-8")).digest()
     state = (seed & _MASK64) ^ int.from_bytes(digest[:8], "little")
     stream = _splitmix64(state)
@@ -245,13 +261,7 @@ def run_batch(manifest, severities, replication: int, seed: int, out_dir,
     manifest = list(manifest)
     if not manifest:
         raise ValueError("manifest is empty")
-    severities = sorted(set(severities))
-    for label in severities:
-        params_for(label)  # validates
-    if not 0 < replication <= len(severities):
-        raise ValueError(
-            f"replication must be in [1, {len(severities)}], got {replication}"
-        )
+    severities = _check_plan(severities, replication, jobs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

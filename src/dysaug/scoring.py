@@ -8,6 +8,7 @@ confusion counts are identical across runs and platforms.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,6 +175,8 @@ class ConfusionMatrix:
     symbols[0] is the distinguished null symbol "" — its row carries
     insertion probabilities and its column deletion probabilities.
     probabilities[i, j] estimates P(symbol i is realized as symbol j).
+    Entries must be finite and non-negative, and each row must sum to 1
+    within 1e-9; the constructor (and so `load`) raises ValueError otherwise.
     """
 
     symbols: tuple[str, ...]
@@ -191,6 +194,14 @@ class ConfusionMatrix:
             )
         if self.symbols[0] != "":
             raise ValueError('symbols[0] must be the null symbol ""')
+        p = self.probabilities
+        if not (np.isfinite(p).all() and (p >= 0).all()):
+            raise ValueError("probabilities must be finite and non-negative")
+        bad = np.flatnonzero(np.abs(p.sum(axis=1) - 1.0) > 1e-9)
+        if bad.size:
+            raise ValueError(
+                f"row {self.symbols[bad[0]]!r} sums to {p[bad[0]].sum()}, not 1"
+            )
         self._index = {s: i for i, s in enumerate(self.symbols)}
         self._sparse_rows = {}
 
@@ -250,36 +261,20 @@ def build_confusion(pairs, smoothing: float = 0.5,
     if smoothing <= 0:
         raise ValueError(f"smoothing must be positive to keep rows stochastic, got {smoothing}")
 
-    counts: dict[str, dict[str, float]] = {}
-    alphabet: set[str] = set()
-
-    def bump(a: str, b: str):
-        row = counts.setdefault(a, {})
-        row[b] = row.get(b, 0.0) + 1.0
-
+    # (ref char, hyp char) counts; "" stands for the missing side of an indel
+    counts: Counter[tuple[str, str]] = Counter()
     for ref_text, hyp_text in pairs:
         if arabic_normalization:
             ref_text = normalize_arabic(ref_text)
             hyp_text = normalize_arabic(hyp_text)
-        ref = _tokens(ref_text, "char")
-        hyp = _tokens(hyp_text, "char")
-        alphabet.update(ref)
-        alphabet.update(hyp)
-        for kind, ref_char, hyp_char in align(ref, hyp).ops:
-            if kind is HIT or kind is SUBSTITUTE:
-                bump(ref_char, hyp_char)
-            elif kind is DELETE:
-                bump(ref_char, "")
-            else:
-                bump("", hyp_char)
+        ops = align(_tokens(ref_text, "char"), _tokens(hyp_text, "char")).ops
+        counts.update((ref_char or "", hyp_char or "") for _, ref_char, hyp_char in ops)
 
-    symbols = ("",) + tuple(sorted(alphabet))
-    k = len(symbols)
-    matrix = np.zeros((k, k))
+    symbols = ("",) + tuple(sorted({c for pair in counts for c in pair} - {""}))
     index = {s: i for i, s in enumerate(symbols)}
-    for a, row in counts.items():
-        for b, c in row.items():
-            matrix[index[a], index[b]] = c
+    matrix = np.zeros((len(symbols), len(symbols)))
+    for (a, b), c in counts.items():
+        matrix[index[a], index[b]] = c
     matrix += smoothing
     matrix /= matrix.sum(axis=1, keepdims=True)
     return ConfusionMatrix(symbols=symbols, probabilities=matrix)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 import wave
 
+import pytest
+
 from dysaug import ManifestEntry, write_wav
 
 from .conftest import make_tone
@@ -126,6 +128,15 @@ class TestBatch:
                        "--severities", "S1,S2", "--replication", "3")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("flags", [("--severities", " , "), ("--jobs", "0"),
+                                       ("--replication", "0")])
+    def test_batch_bad_plan_exits_2_before_reading(self, tmp_path, flags):
+        proc = run_cli("batch", "--manifest", str(tmp_path / "none.jsonl"),
+                       "--out-dir", str(tmp_path / "o"), *flags)
+        assert proc.returncode == 2
+        assert "none.jsonl" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_batch_rejects_escaping_id(self, tmp_path):
         work = tmp_path / "work"
         work.mkdir()
@@ -150,6 +161,16 @@ class TestBatch:
         # good entries were still produced
         records = (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()
         assert len(records) == 4
+
+    def test_batch_failure_reported_once(self, tmp_path):
+        manifest = self._manifest(tmp_path, count=1)
+        with open(manifest, "a", encoding="utf-8") as fout:
+            fout.write(json.dumps({"id": "lost", "audio": str(tmp_path / "gone.wav")}) + "\n")
+        proc = run_cli("batch", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
+                       "--replication", "1", "--jobs", "1", "--quiet")
+        assert proc.returncode == 1
+        assert proc.stderr.count("lost") == 1, proc.stderr
+        assert "gone.wav" in proc.stderr
 
 
 class TestScoreCommand:

@@ -147,6 +147,10 @@ class TestCorrectWord:
         with pytest.raises(ValueError):
             Dictionary.from_words([])
 
+    def test_empty_dictionary_constructor(self):
+        with pytest.raises(ValueError, match="at least one word"):
+            Dictionary(words=frozenset(), freq={})
+
 
 class TestCorrectSentence:
     def test_empty(self):

@@ -92,6 +92,13 @@ class TestManifest:
         with pytest.raises(ValueError, match=r"m\.jsonl:3: entry id '\.\./up'"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"u1"', "3"])
+    def test_line_must_be_an_object(self, tmp_path, line):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "u1", "audio": "a.wav"}\n' + line + "\n")
+        with pytest.raises(ValueError, match=r"m\.jsonl:2: expected a JSON object"):
+            read_manifest(path)
+
 
 class TestSplitByGender:
     def test_partition(self):
@@ -145,6 +152,19 @@ class TestAssignSeverities:
     def test_replication_too_large(self):
         with pytest.raises(ValueError, match="replication"):
             assign_severities("u", ("S1", "S2"), 3, 0)
+
+    @pytest.mark.parametrize("replication", [0, -1])
+    def test_replication_below_one(self, replication):
+        with pytest.raises(ValueError, match="replication"):
+            assign_severities("u", SEVERITIES, replication, 0)
+
+    def test_duplicate_labels_count_once(self):
+        with pytest.raises(ValueError, match="replication"):
+            assign_severities("u", ["S1", "S1"], 2, 0)
+
+    def test_unknown_label(self):
+        with pytest.raises(ValueError, match="S7"):
+            assign_severities("u", ["S1", "S7"], 1, 0)
 
 
 def _write_manifest(tmp_path, count=3, seconds=0.4):
@@ -245,6 +265,17 @@ class TestRunBatch:
         entries = _write_manifest(tmp_path, count=1)
         with pytest.raises(ValueError, match="replication"):
             run_batch(entries, ("S1", "S2"), 3, 0, tmp_path / "out")
+
+    def test_jobs_below_one(self, tmp_path):
+        entries = _write_manifest(tmp_path, count=1)
+        with pytest.raises(ValueError, match="jobs"):
+            run_batch(entries, SEVERITIES, 2, 0, tmp_path / "out", jobs=0)
+        assert not (tmp_path / "out").exists()
+
+    def test_no_severities(self, tmp_path):
+        entries = _write_manifest(tmp_path, count=1)
+        with pytest.raises(ValueError, match="at least one"):
+            run_batch(entries, [], 1, 0, tmp_path / "out")
 
     def test_records_serialize(self, tmp_path):
         entries = _write_manifest(tmp_path, count=1)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import numpy as np
@@ -178,6 +179,16 @@ class TestBuildConfusion:
         assert back.symbols == m.symbols
         np.testing.assert_allclose(back.probabilities, m.probabilities)
 
+    def test_exact_counts_with_indels_and_arabic(self):
+        # a->a hit, b->c substitution, x inserted, ب deleted; smoothing 0.5
+        m = build_confusion([("ab", "ac"), ("", "x"), ("ب", "")])
+        assert m.symbols == ("", "a", "b", "c", "x", "ب")
+        assert m.prob("a", "a") == 1.5 / 4 and m.prob("a", "b") == 0.5 / 4
+        assert m.prob("b", "c") == 1.5 / 4
+        assert m.prob("", "x") == 1.5 / 4
+        assert m.prob("ب", "") == 1.5 / 4
+        np.testing.assert_allclose(m.probabilities[m.symbols.index("c")], 1 / 6)
+
     def test_identity_constructor(self):
         from dysaug import ConfusionMatrix
 
@@ -185,3 +196,37 @@ class TestBuildConfusion:
         assert m.symbols == ("", "a", "b")
         assert m.prob("a", "a") == 1.0
         assert m.prob("a", "b") == 0.0
+
+
+class TestConfusionMatrixValidation:
+    SYMBOLS = ("", "a", "b")
+    BAD = {
+        "negative": [[1, 0, 0], [0, 2, -1], [0, 0, 1]],
+        "zero row": [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+        "row sum": [[1, 0, 0], [0, 0.5, 0.4], [0, 0, 1]],
+        "nan": [[1, 0, 0], [0, float("nan"), 1], [0, 0, 1]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_constructor_rejects(self, name):
+        from dysaug import ConfusionMatrix
+
+        with pytest.raises(ValueError):
+            ConfusionMatrix(symbols=self.SYMBOLS, probabilities=np.array(self.BAD[name]))
+
+    @pytest.mark.parametrize("name", ["negative", "zero row"])
+    def test_load_rejects(self, tmp_path, name):
+        from dysaug import ConfusionMatrix
+
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"alphabet": list(self.SYMBOLS),
+                                    "probabilities": self.BAD[name]}), encoding="utf-8")
+        with pytest.raises(ValueError):
+            ConfusionMatrix.load(path)
+
+    def test_accepts_rounding_within_tolerance(self):
+        from dysaug import ConfusionMatrix
+
+        p = np.full((3, 3), 1 / 3)
+        assert abs(p.sum(axis=1)[0] - 1.0) < 1e-9
+        ConfusionMatrix(symbols=self.SYMBOLS, probabilities=p)
