@@ -10,7 +10,6 @@ from __future__ import annotations
 import struct
 import wave
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -58,20 +57,24 @@ _FORMAT_TAG_NAMES = {
 
 @dataclass
 class Waveform:
-    """Mono audio: float32 amplitudes in [-1, 1] plus a sample rate in Hz."""
+    """Mono audio: float32 amplitudes in [-1, 1] plus a sample rate in Hz.
+
+    Building one clips the samples into a new array, never a view of the caller's.
+    """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float32)
-        if self.samples.ndim != 1:
-            raise ValueError(f"waveform samples must be 1-D, got shape {self.samples.shape}")
+        samples = np.asarray(self.samples, dtype=np.float32)
+        if samples.ndim != 1:
+            raise ValueError(f"waveform samples must be 1-D, got shape {samples.shape}")
         # NaN/Inf would reach write_wav's int16 cast, whose result is platform-defined
-        if not np.isfinite(self.samples).all():
+        if not np.isfinite(samples).all():
             raise ValueError("waveform has non-finite samples (NaN or Inf)")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        self.samples = np.clip(samples, -1.0, 1.0)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -80,9 +83,6 @@ class Waveform:
     def duration(self) -> float:
         """Length in seconds."""
         return len(self.samples) / self.sample_rate
-
-    def copy(self) -> "Waveform":
-        return Waveform(self.samples.copy(), self.sample_rate)
 
 
 def _parse_fmt_chunk(body: bytes) -> tuple[int, int, int, int]:
@@ -154,17 +154,14 @@ def read_wav(path) -> Waveform:
         raise WavFormatError(f"{path}: non-finite samples (NaN or Inf) in float data")
     if channels > 1:
         frames = frames.reshape(-1, channels).mean(axis=1)
-    samples = frames.astype(np.float64)
     if dtype.kind == "i":
-        samples *= PCM16_READ_SCALE
-    np.clip(samples, -1.0, 1.0, out=samples)
-    return Waveform(samples, rate)
+        frames = frames * PCM16_READ_SCALE
+    return Waveform(frames, rate)
 
 
 def write_wav(waveform: Waveform, path) -> None:
     """Write a waveform as mono 16-bit PCM RIFF/WAVE."""
-    x = np.clip(waveform.samples, -1.0, 1.0).astype(np.float64)
-    pcm = np.rint(x * PCM16_FULL_SCALE)
+    pcm = np.rint(waveform.samples.astype(np.float64) * PCM16_FULL_SCALE)
     np.clip(pcm, -PCM16_PEAK, PCM16_PEAK, out=pcm)
     pcm = pcm.astype("<i2")
     with wave.open(str(path), "wb") as out:
@@ -238,9 +235,5 @@ def resample(waveform: Waveform, target_rate: int) -> Waveform:
     """Resample to target_rate with anti-aliasing at the tighter Nyquist."""
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
-    if target_rate == waveform.sample_rate:
-        return Waveform(waveform.samples.copy(), target_rate)
-    ratio = Fraction(target_rate, waveform.sample_rate)
-    y = resample_sequence(waveform.samples, ratio.numerator, ratio.denominator)
-    np.clip(y, -1.0, 1.0, out=y)
+    y = resample_sequence(waveform.samples, target_rate, waveform.sample_rate)
     return Waveform(y, target_rate)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .audio_io import read_wav, resample, write_wav
-from .tempo import WsolaConfig, pertubate_signal
+from .tempo import pertubate_signal
 
 __all__ = [
     "SEVERITIES",
@@ -217,12 +217,15 @@ class BatchResult:
     failures: list[tuple[str, str]] = field(default_factory=list)  # (entry id, reason)
 
 
-def _augment_entry(entry: ManifestEntry, severities: list[str], out_dir: str,
-                   wsola: WsolaConfig | None) -> tuple[list[AugmentRecord], list[tuple[str, str]]]:
+def _augment_entry(entry: ManifestEntry, severities: list[str],
+                   out_dir: str) -> tuple[list[AugmentRecord], list[tuple[str, str]]]:
     records = []
     failures = []
     try:
         wave = read_wav(entry.audio)
+        # an empty clip fails every severity alike, so it is one failure
+        if len(wave) == 0:
+            raise ValueError("no audio frames")
         wave = resample(wave, TARGET_RATE)
     except Exception as exc:
         return [], [(entry.id, f"{entry.audio}: {exc}")]
@@ -230,7 +233,7 @@ def _augment_entry(entry: ManifestEntry, severities: list[str], out_dir: str,
         params = params_for(severity)
         out_path = str(Path(out_dir) / f"{entry.id}_{severity}.wav")
         try:
-            perturbed = pertubate_signal(wave, params, wsola)
+            perturbed = pertubate_signal(wave, params)
             write_wav(perturbed, out_path)
         except Exception as exc:
             failures.append((entry.id, f"{out_path}: {exc}"))
@@ -250,7 +253,7 @@ def _augment_entry(entry: ManifestEntry, severities: list[str], out_dir: str,
 
 
 def run_batch(manifest, severities, replication: int, seed: int, out_dir,
-              jobs: int = 1, wsola: WsolaConfig | None = None) -> BatchResult:
+              jobs: int = 1) -> BatchResult:
     """Generate `replication` perturbed 16 kHz WAVs per manifest entry.
 
     Severity levels are drawn without replacement per entry, deterministic
@@ -266,7 +269,7 @@ def run_batch(manifest, severities, replication: int, seed: int, out_dir,
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tasks = [
-        (entry, assign_severities(entry.id, severities, replication, seed), str(out_dir), wsola)
+        (entry, assign_severities(entry.id, severities, replication, seed), str(out_dir))
         for entry in manifest
     ]
     result = BatchResult()

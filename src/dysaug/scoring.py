@@ -233,7 +233,20 @@ class ConfusionMatrix:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ConfusionMatrix":
-        return cls(symbols=tuple(obj["alphabet"]), probabilities=np.array(obj["probabilities"]))
+        """Inverse of `to_dict`; ValueError if `obj` does not have its shape."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"confusion matrix must be a JSON object, got {type(obj).__name__}")
+        alphabet = obj.get("alphabet")
+        if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
+            raise ValueError("confusion matrix 'alphabet' must be a list of strings")
+        rows = obj.get("probabilities")
+        if not isinstance(rows, list):
+            raise ValueError("confusion matrix 'probabilities' must be a list of rows")
+        try:
+            probabilities = np.array(rows, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError("confusion matrix 'probabilities' must be rows of numbers") from None
+        return cls(symbols=tuple(alphabet), probabilities=probabilities)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fout:

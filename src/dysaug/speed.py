@@ -11,15 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .audio_io import Waveform, resample_sequence
 
 __all__ = ["SPEED_FACTOR_RANGE", "MIN_OUTPUT_SAMPLES", "perturb_speed"]
 
 SPEED_FACTOR_RANGE = (0.25, 4.0)
 
-# outputs shorter than one filter phase are useless and break the resampler
+# an output shorter than one filter branch (64 taps) is useless as speech,
+# so it is rejected rather than produced
 MIN_OUTPUT_SAMPLES = 64
 
 
@@ -38,15 +37,10 @@ def perturb_speed(waveform: Waveform, factor: float) -> Waveform:
 
     ratio = Fraction(factor).limit_denominator(1000)
     up, down = ratio.denominator, ratio.numerator
-    if up == down:
-        return waveform.copy()
-
     n_out = -(-len(waveform) * up // down)
     if n_out < MIN_OUTPUT_SAMPLES:
         raise ValueError(
             f"speed factor {factor} on {len(waveform)} samples leaves "
             f"{n_out} samples, below the minimum of {MIN_OUTPUT_SAMPLES}"
         )
-    y = resample_sequence(waveform.samples, up, down)
-    np.clip(y, -1.0, 1.0, out=y)
-    return Waveform(y, waveform.sample_rate)
+    return Waveform(resample_sequence(waveform.samples, up, down), waveform.sample_rate)

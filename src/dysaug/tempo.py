@@ -28,7 +28,6 @@ class WsolaConfig:
     frame_length: int = 512
     synthesis_hop: int = 256
     tolerance: int = 160
-    window: str = "hann"
 
     def __post_init__(self):
         if self.frame_length <= 0 or self.frame_length % 2:
@@ -39,20 +38,11 @@ class WsolaConfig:
             )
         if self.tolerance < 0:
             raise ValueError(f"tolerance must be non-negative, got {self.tolerance}")
-        if self.window not in _WINDOWS:
-            raise ValueError(f"unknown window {self.window!r}, expected one of {sorted(_WINDOWS)}")
 
 
 def _hann(n: int) -> np.ndarray:
     # periodic form: sums to a constant at 50% overlap
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def _hamming(n: int) -> np.ndarray:
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-_WINDOWS = {"hann": _hann, "hamming": _hamming}
 
 
 def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None = None) -> Waveform:
@@ -81,7 +71,7 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     frame = cfg.frame_length
     hop = cfg.synthesis_hop
     tol = cfg.tolerance
-    win = _WINDOWS[cfg.window](frame)
+    win = _hann(frame)
 
     n_out = int(round(factor * n))
     n_frames = max(1, -(-n_out // hop))
@@ -115,19 +105,14 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
         prev_start = start
 
     y = acc[:n_out] / np.maximum(envelope[:n_out], 1e-8)
-    np.clip(y, -1.0, 1.0, out=y)
     return Waveform(y, waveform.sample_rate)
 
 
-def pertubate_signal(
-    waveform: Waveform,
-    params,
-    config: WsolaConfig | None = None,
-) -> Waveform:
+def pertubate_signal(waveform: Waveform, params) -> Waveform:
     """Full two-stage dysarthric perturbation: speed first, then tempo.
 
     `params` is a PerturbationParams (or anything with .speed and .tempo).
     Output length is round(len * tempo / speed) within one frame.
     """
     sped = perturb_speed(waveform, params.speed)
-    return perturb_tempo(sped, params.tempo, config)
+    return perturb_tempo(sped, params.tempo)

@@ -220,3 +220,13 @@ class TestWaveform:
         with pytest.raises(ValueError, match="non-finite samples"):
             write_wav(Waveform([0.5, np.nan, -0.5] * 100, 16000), path)
         assert not path.exists()
+
+    def test_clips_to_unit_range(self):
+        w = Waveform([1.5, -2.0, 0.5], 16000)
+        np.testing.assert_array_equal(w.samples, [1.0, -1.0, 0.5])
+
+    def test_does_not_share_the_callers_array(self):
+        samples = np.array([0.25, -0.5, 0.75], dtype=np.float32)
+        w = Waveform(samples, 16000)
+        samples[:] = 0.0
+        np.testing.assert_array_equal(w.samples, [0.25, -0.5, 0.75])

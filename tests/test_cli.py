@@ -250,6 +250,19 @@ class TestConfusionAndCorrect:
                        "--in", "x", "--out", "y")
         assert proc.returncode == 1
 
+    def test_malformed_confusion_is_one_error_line(self, tmp_path):
+        dict_path = tmp_path / "dict.txt"
+        dict_path.write_text("cat\n", encoding="utf-8")
+        matrix_path = tmp_path / "m.json"
+        matrix_path.write_text('{"alphabet": ["", "a"]}', encoding="utf-8")
+        hyp_in = tmp_path / "in.txt"
+        hyp_in.write_text("cat\n", encoding="utf-8")
+        proc = run_cli("correct", "--dict", str(dict_path), "--confusion", str(matrix_path),
+                       "--in", str(hyp_in), "--out", str(tmp_path / "out.txt"))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("dysaug: "), proc.stderr
+
 
 class TestUsage:
     def test_no_subcommand_exits_2(self):

@@ -239,6 +239,15 @@ class TestRunBatch:
         assert entry_id == "nan" and "non-finite samples" in reason
         assert not (tmp_path / "out" / "nan_S1.wav").exists()
 
+    def test_empty_clip_is_one_failure(self, tmp_path):
+        entries = _write_manifest(tmp_path, count=1)
+        empty = tmp_path / "empty.wav"
+        empty.write_bytes(build_wav_bytes(1, 1, 16000, 16, b""))
+        entries.append(ManifestEntry(id="e", audio=str(empty)))
+        result = run_batch(entries, SEVERITIES, 2, 0, tmp_path / "out")
+        assert len(result.records) == 2
+        assert result.failures == [("e", f"{empty}: no audio frames")]
+
     def test_parallel_matches_serial(self, tmp_path):
         entries = _write_manifest(tmp_path, count=4)
         serial = run_batch(entries, SEVERITIES, 2, 3, tmp_path / "s", jobs=1)

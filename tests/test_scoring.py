@@ -224,6 +224,19 @@ class TestConfusionMatrixValidation:
         with pytest.raises(ValueError):
             ConfusionMatrix.load(path)
 
+    @pytest.mark.parametrize("obj, match", [
+        ({"alphabet": ["", "a"]}, "probabilities"),
+        ({"probabilities": [[1.0]]}, "alphabet"),
+        ([["", "a"], [[1, 0], [0, 1]]], "JSON object"),
+        ({"alphabet": "ab", "probabilities": [[1.0]]}, "alphabet"),
+        ({"alphabet": ["", "a"], "probabilities": [[1, 0], [{}, 1]]}, "probabilities"),
+    ])
+    def test_from_dict_rejects_malformed(self, obj, match):
+        from dysaug import ConfusionMatrix
+
+        with pytest.raises(ValueError, match=match):
+            ConfusionMatrix.from_dict(obj)
+
     def test_accepts_rounding_within_tolerance(self):
         from dysaug import ConfusionMatrix
 

@@ -56,6 +56,14 @@ def test_output_bounded():
     assert np.max(np.abs(out.samples)) <= 1.0
 
 
+def test_out_of_range_input_is_clipped_before_filtering():
+    rng = np.random.default_rng(12)
+    loud = rng.normal(0, 1.5, 8000).astype(np.float32)
+    out = perturb_speed(Waveform(loud, 16000), 1.4)
+    expected = perturb_speed(Waveform(np.clip(loud, -1, 1), 16000), 1.4)
+    np.testing.assert_array_equal(out.samples, expected.samples)
+
+
 def test_aliasing_is_filtered_not_an_error():
     # 5 kHz at factor 2.0 would land at 10 kHz, past Nyquist; the anti-alias
     # filter removes it instead of folding it back

@@ -88,10 +88,6 @@ class TestWsolaConfig:
         with pytest.raises(ValueError, match="tolerance"):
             WsolaConfig(tolerance=-1)
 
-    def test_unknown_window_rejected(self):
-        with pytest.raises(ValueError, match="window"):
-            WsolaConfig(window="blackman-harris")
-
 
 class TestPertubateSignal:
     def test_double_identity(self):
