@@ -55,11 +55,12 @@ _FORMAT_TAG_NAMES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Waveform:
     """Mono audio: float32 amplitudes in [-1, 1] plus a sample rate in Hz.
 
     Building one clips the samples into a new array, never a view of the caller's.
+    The fields cannot be reassigned, so they keep the constructor's checks.
     """
 
     samples: np.ndarray
@@ -74,7 +75,7 @@ class Waveform:
             raise ValueError("waveform has non-finite samples (NaN or Inf)")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        self.samples = np.clip(samples, -1.0, 1.0)
+        object.__setattr__(self, "samples", np.clip(samples, -1.0, 1.0))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -232,8 +233,13 @@ def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
 
 
 def resample(waveform: Waveform, target_rate: int) -> Waveform:
-    """Resample to target_rate with anti-aliasing at the tighter Nyquist."""
+    """Resample to target_rate with anti-aliasing at the tighter Nyquist.
+
+    A waveform already at target_rate comes back with the same samples.
+    """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
+    if target_rate == waveform.sample_rate:
+        return Waveform(waveform.samples, target_rate)
     y = resample_sequence(waveform.samples, target_rate, waveform.sample_rate)
     return Waveform(y, target_rate)

@@ -1,6 +1,9 @@
 """Levenshtein alignment, WER/CER scoring, and confusion estimation.
 
-Alignment uses unit costs with a fixed backtrace preference
+Alignment is a bit-parallel Levenshtein DP (Myers 1999, in Hyyrö's 2004
+global form, with a backtrace): each hypothesis token updates a whole
+column of the cost table in a few integer operations, whatever the
+reference length.  It uses unit costs with a fixed backtrace preference
 (hit > substitute > delete > insert) so that error decompositions and
 confusion counts are identical across runs and platforms.
 """
@@ -63,50 +66,66 @@ class Alignment:
 def align(ref, hyp) -> Alignment:
     """Minimum-edit alignment of two token sequences under unit costs.
 
-    Ties during backtrace prefer hit, then substitute, then delete, then
-    insert.
+    Tokens must be hashable: two tokens match when they are equal as dict
+    keys.  Ties during backtrace prefer hit, then substitute, then delete,
+    then insert.
     """
-    m, n = len(ref), len(hyp)
-    w = n + 1
-    # flat (m+1) x (n+1) cost table
-    d = list(range(w)) + [0] * (m * w)
-    for i in range(1, m + 1):
-        d[i * w] = i
-    for i in range(1, m + 1):
-        ri = ref[i - 1]
-        row = i * w
-        prev = row - w
-        for j in range(1, n + 1):
-            if ri == hyp[j - 1]:
-                d[row + j] = d[prev + j - 1]
-            else:
-                best = d[prev + j - 1]
-                if d[prev + j] < best:
-                    best = d[prev + j]
-                if d[row + j - 1] < best:
-                    best = d[row + j - 1]
-                d[row + j] = best + 1
+    # peq[t] has bit i-1 set where ref[i-1] matches t
+    peq: dict = {}
+    bit = 1
+    for tok in ref:
+        peq[tok] = peq.get(tok, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    # Column j of the cost table d, one bit per row (Myers 1999, in Hyyrö's
+    # 2004 global form): bit i-1 of vp/vn is set where d[i][j] - d[i-1][j]
+    # is +1/-1, bit i of hp/hn where d[i][j] - d[i][j-1] is; the top row's
+    # +1 is shifted into bit 0 of hp.
+    vp, vn = mask, 0
+    cols = [None]
+    for tok in hyp:
+        eq = peq.get(tok, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = (vn | ~(xh | vp)) << 1 | 1
+        hn = (vp & xh) << 1
+        vp = (hn | ~(xv | hp)) & mask
+        vn = hp & xv
+        cols.append((vp, vn, hp, hn))
 
-    i, j = m, n
+    i, j = len(ref), len(hyp)
+    cur = distance = j + vp.bit_count() - vn.bit_count()  # d[m][n]
     ops: list[tuple[str, object, object]] = []
-    while i or j:
-        cur = d[i * w + j]
-        if i and j and ref[i - 1] == hyp[j - 1] and d[(i - 1) * w + j - 1] == cur:
+    while i and j:
+        vp, vn, hp, hn = cols[j]
+        b = 1 << (i - 1)
+        up = cur - 1 if vp & b else cur + 1 if vn & b else cur  # d[i-1][j]
+        diag = up - 1 if hp & b else up + 1 if hn & b else up  # d[i-1][j-1]
+        if diag == cur and peq.get(hyp[j - 1], 0) & b:
             ops.append((HIT, ref[i - 1], hyp[j - 1]))
             i -= 1
             j -= 1
-        elif i and j and d[(i - 1) * w + j - 1] + 1 == cur:
+        elif diag + 1 == cur:
             ops.append((SUBSTITUTE, ref[i - 1], hyp[j - 1]))
             i -= 1
             j -= 1
-        elif i and d[(i - 1) * w + j] + 1 == cur:
+            cur -= 1
+        elif up + 1 == cur:
             ops.append((DELETE, ref[i - 1], None))
             i -= 1
-        else:
+            cur -= 1
+        else:  # the only move left, so d[i][j-1] == cur - 1
             ops.append((INSERT, None, hyp[j - 1]))
             j -= 1
+            cur -= 1
+    while i:
+        i -= 1
+        ops.append((DELETE, ref[i], None))
+    while j:
+        j -= 1
+        ops.append((INSERT, None, hyp[j]))
     ops.reverse()
-    return Alignment(ops=ops, distance=d[m * w + n])
+    return Alignment(ops=ops, distance=distance)
 
 
 @dataclass
@@ -254,8 +273,12 @@ class ConfusionMatrix:
 
     @classmethod
     def load(cls, path) -> "ConfusionMatrix":
+        """Read a `save`d matrix; a malformed file raises ValueError naming `path`."""
         with open(path, encoding="utf-8") as fin:
-            return cls.from_dict(json.load(fin))
+            try:
+                return cls.from_dict(json.load(fin))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
 
 def build_confusion(pairs, smoothing: float = 0.5,

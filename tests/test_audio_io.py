@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import wave
 
@@ -230,3 +231,22 @@ class TestWaveform:
         w = Waveform(samples, 16000)
         samples[:] = 0.0
         np.testing.assert_array_equal(w.samples, [0.25, -0.5, 0.75])
+
+
+def test_same_rate_resample_passes_samples_through():
+    rng = np.random.default_rng(16)
+    w = Waveform(rng.uniform(-1.0, 1.0, 16000).astype(np.float32), 16000)
+    out = resample(w, 16000)
+    assert out.sample_rate == 16000
+    assert out.samples.dtype == np.float32
+    assert np.array_equal(out.samples, w.samples)
+
+
+def test_waveform_fields_cannot_be_reassigned(tmp_path):
+    w = Waveform(np.zeros(300), 16000)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.samples = np.array([0.5, np.nan, 3.0], dtype=np.float32)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.sample_rate = 0
+    write_wav(w, tmp_path / "w.wav")
+    assert read_wav(tmp_path / "w.wav").samples.tolist() == [0.0] * 300

@@ -293,3 +293,18 @@ def test_entry_ids_round_trip(tmp_path):
     # ManifestEntry written by hand parses back identically through the CLI path
     entry = ManifestEntry(id="x", audio="a.wav", text="t", speaker="s", gender="male")
     assert json.loads(entry.to_json())["gender"] == "male"
+
+
+@pytest.mark.parametrize("content", ['{"alphabet": ["", "a"], "probabilities": [[1',
+                                     '{"alphabet": ["", "a"], "probabilities": [[1, 0], [0, 2]]}'])
+def test_malformed_confusion_error_names_the_file(tmp_path, content):
+    dict_path = tmp_path / "dict.txt"
+    dict_path.write_text("cat\n", encoding="utf-8")
+    matrix_path = tmp_path / "bad.json"
+    matrix_path.write_text(content, encoding="utf-8")
+    hyp_in = tmp_path / "in.txt"
+    hyp_in.write_text("cat\n", encoding="utf-8")
+    proc = run_cli("correct", "--dict", str(dict_path), "--confusion", str(matrix_path),
+                   "--in", str(hyp_in), "--out", str(tmp_path / "out.txt"))
+    assert proc.returncode == 1
+    assert "bad.json" in proc.stderr, proc.stderr
