@@ -60,7 +60,8 @@ class Waveform:
     """Mono audio: float32 amplitudes in [-1, 1] plus a sample rate in Hz.
 
     Building one clips the samples into a new array, never a view of the caller's.
-    The fields cannot be reassigned, so they keep the constructor's checks.
+    The fields cannot be reassigned and the samples are read-only, so they
+    keep the constructor's checks.
     """
 
     samples: np.ndarray
@@ -75,7 +76,9 @@ class Waveform:
             raise ValueError("waveform has non-finite samples (NaN or Inf)")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        object.__setattr__(self, "samples", np.clip(samples, -1.0, 1.0))
+        clipped = np.clip(samples, -1.0, 1.0)
+        clipped.flags.writeable = False
+        object.__setattr__(self, "samples", clipped)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -101,13 +104,16 @@ def read_wav(path) -> Waveform:
     """Read a RIFF/WAVE file as a mono waveform.
 
     Accepts 16-bit PCM and 32-bit IEEE float, any channel count.
-    Multi-channel audio is downmixed by per-frame arithmetic mean.
+    Multi-channel audio is downmixed to the per-frame mean: channels are
+    added in order (in float32 for float data, float64 for PCM16), then
+    divided by their count.
 
     Raises FileNotFoundError for a missing file, WavFormatError for a
     malformed container or non-finite float samples, and
     UnsupportedCodecError for any other codec.
     """
     raw = Path(path).read_bytes()
+    view = memoryview(raw)  # chunk bodies are sliced without copying
     if len(raw) < 12 or raw[:4] != b"RIFF":
         raise WavFormatError(f"{path}: not a RIFF file (leading bytes {raw[:4]!r})")
     if raw[8:12] != b"WAVE":
@@ -119,7 +125,7 @@ def read_wav(path) -> Waveform:
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (size,) = struct.unpack("<I", raw[pos + 4 : pos + 8])
-        body = raw[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if chunk_id == b"fmt ":
             fmt_body = body
         elif chunk_id == b"data":
@@ -154,7 +160,14 @@ def read_wav(path) -> Waveform:
     if dtype.kind == "f" and not np.isfinite(frames).all():
         raise WavFormatError(f"{path}: non-finite samples (NaN or Inf) in float data")
     if channels > 1:
-        frames = frames.reshape(-1, channels).mean(axis=1)
+        # column by column, as np.mean's reduction does up to 7 channels,
+        # but without its strided per-frame loop
+        columns = frames.reshape(-1, channels)
+        mixed = columns[:, 0].astype(np.float64 if dtype.kind == "i" else np.float32)
+        for c in range(1, channels):
+            mixed += columns[:, c]
+        mixed /= channels
+        frames = mixed
     if dtype.kind == "i":
         frames = frames * PCM16_READ_SCALE
     return Waveform(frames, rate)

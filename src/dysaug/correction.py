@@ -93,6 +93,13 @@ def profile(word: str, matrix: ConfusionMatrix | None = None) -> dict[str, float
     to the count of every c', so confusable characters share mass.
     Characters outside the matrix alphabet keep their hard count.
     """
+    return dict(_cached_profile(word, matrix))
+
+
+@functools.lru_cache(maxsize=8192)
+def _cached_profile(word: str, matrix: ConfusionMatrix | None) -> dict[str, float]:
+    # keyed by the word and the matrix's identity, which is immutable after
+    # load; callers must not mutate the shared dict
     if not word:
         raise ValueError("cannot profile an empty word")
     counts: dict[str, float] = {}
@@ -133,9 +140,10 @@ def weighted_jaccard(word_a: str, word_b: str, matrix: ConfusionMatrix | None = 
     """Jaccard distance between the character profiles of two words, in [0, 1].
 
     With no matrix (or an identity matrix) this is the plain multiset
-    Jaccard distance.
+    Jaccard distance.  Each word's profile is built once per matrix and
+    kept in a bounded cache.
     """
-    return _profile_distance(profile(word_a, matrix), profile(word_b, matrix))
+    return _profile_distance(_cached_profile(word_a, matrix), _cached_profile(word_b, matrix))
 
 
 class _ProfileIndex:

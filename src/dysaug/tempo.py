@@ -4,6 +4,10 @@ Changes duration by a factor while leaving pitch and spectral envelope
 alone: output frames are laid down at a fixed synthesis hop, and each one
 is copied from wherever, within a small tolerance around its nominal
 analysis position, the input best continues the previously copied frame.
+The energies of all candidate windows come from one prefix sum of the
+squared input per call (restarted every frame length, so quiet passages
+after loud ones keep their precision), so each frame's seek is one
+cross-correlation, a slice of that table and an in-place normalization.
 """
 
 from __future__ import annotations
@@ -80,6 +84,27 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     x = np.concatenate([waveform.samples.astype(np.float64), np.zeros(frame + tol + hop)])
     max_start = len(x) - frame
 
+    # norms[k] = ||x[k : k + frame]|| for every start k, from one prefix sum
+    # of x*x that restarts every `frame` samples.  Each energy is then
+    # rounded relative to the two blocks it spans, as a per-window sum is,
+    # not relative to a running total over the clip, whose rounding step
+    # would exceed the energy of a quiet passage after seconds of loud input.
+    # Window k = b*frame + r + 1 is block b after r plus block b+1 up to r:
+    # total[b] + (prefix[b+1, r] - prefix[b, r]), clamped at 0 against rounding.
+    n_blocks = len(x) // frame + 1
+    prefix = np.zeros(n_blocks * frame)
+    np.square(x, out=prefix[: len(x)])
+    blocks = prefix.reshape(n_blocks, frame)
+    np.cumsum(blocks, axis=1, out=blocks)
+    norms = np.empty(len(prefix) - frame + 1)
+    norms[0] = blocks[0, -1]
+    np.subtract(prefix[frame:], prefix[:-frame], out=norms[1:])
+    spans = norms[1:].reshape(n_blocks - 1, frame)
+    spans += blocks[:-1, -1:]
+    np.maximum(norms, 0.0, out=norms)
+    np.sqrt(norms, out=norms)
+    del prefix, blocks
+
     acc = np.zeros(n_out + frame + hop)
     envelope = np.zeros_like(acc)
 
@@ -93,12 +118,11 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
             target = x[prev_start + hop : prev_start + hop + frame]
             lo_pos = max(0, nominal - tol)
             hi_pos = min(nominal + tol, max_start)
-            region = x[lo_pos : hi_pos + frame]
-            dots = np.correlate(region, target, mode="valid")
-            sq = np.concatenate([[0.0], np.cumsum(region * region)])
-            norms = np.sqrt(sq[frame:] - sq[:-frame])
-            denom = norms * np.sqrt(target @ target)
-            ncc = np.where(denom > 1e-12, dots / np.maximum(denom, 1e-12), 0.0)
+            ncc = np.correlate(x[lo_pos : hi_pos + frame], target, mode="valid")
+            denom = norms[lo_pos : hi_pos + 1] * np.sqrt(target @ target)
+            live = denom > 1e-12
+            np.divide(ncc, denom, out=ncc, where=live)
+            ncc[~live] = 0.0
             start = lo_pos + int(np.argmax(ncc))
         acc[synth_pos : synth_pos + frame] += win * x[start : start + frame]
         envelope[synth_pos : synth_pos + frame] += win

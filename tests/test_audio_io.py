@@ -250,3 +250,38 @@ def test_waveform_fields_cannot_be_reassigned(tmp_path):
         w.sample_rate = 0
     write_wav(w, tmp_path / "w.wav")
     assert read_wav(tmp_path / "w.wav").samples.tolist() == [0.0] * 300
+
+
+def test_waveform_samples_are_read_only():
+    w = Waveform(np.zeros(300), 16000)
+    with pytest.raises(ValueError, match="read-only"):
+        w.samples[1] = np.nan
+    assert np.isfinite(w.samples).all()
+
+
+@pytest.mark.parametrize("channels", range(1, 11))
+def test_pcm16_downmix_equals_mean(tmp_path, channels):
+    # sums of int16 are exact in float64, so the order of addition cannot show
+    rng = np.random.default_rng(channels)
+    ints = rng.integers(-32768, 32768, size=(997, channels)).astype("<i2")
+    path = tmp_path / "pcm.wav"
+    write_pcm16_file(path, ints.ravel(), channels=channels)
+    want = ints.mean(axis=1) * (1.0 / 32768.0)
+    assert np.array_equal(read_wav(path).samples, want.astype(np.float32))
+
+
+@pytest.mark.parametrize("channels", range(1, 11))
+def test_float32_downmix_equals_mean(tmp_path, channels):
+    rng = np.random.default_rng(100 + channels)
+    frames = rng.uniform(-1.0, 1.0, size=(997, channels)).astype(np.float32)
+    path = tmp_path / "float.wav"
+    write_float32_file(path, frames.ravel(), channels=channels)
+    got = read_wav(path).samples
+    want = frames.mean(axis=1)
+    if channels < 8:
+        assert np.array_equal(got, want)
+    else:
+        # np.mean switches to pairwise summation from 8 channels on; the
+        # two float32 sums differ by rounding of partial sums of magnitude
+        # <= channels, which an absolute bound covers where signs cancel
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)

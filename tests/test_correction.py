@@ -67,6 +67,21 @@ class TestProfile:
         with pytest.raises(ValueError, match="empty"):
             profile("")
 
+    def test_returns_a_fresh_dict(self):
+        m = soft_matrix({"b": {"b": 0.8, "x": 0.2}})
+        before = weighted_jaccard("ab", "ax", m)
+        mutated = profile("ab", m)
+        mutated["b"] = 5.0
+        mutated["z"] = 1.0
+        assert profile("ab", m) == pytest.approx({"a": 1.0, "b": 0.8, "x": 0.2})
+        assert weighted_jaccard("ab", "ax", m) == before
+
+    def test_profiles_are_kept_per_matrix(self):
+        soft = soft_matrix({"b": {"b": 0.8, "x": 0.2}})
+        assert weighted_jaccard("ab", "ax", soft) < 1.0
+        assert weighted_jaccard("ab", "ax", ConfusionMatrix.identity("abx")) == pytest.approx(2 / 3)
+        assert weighted_jaccard("ab", "ax") == pytest.approx(2 / 3)
+
 
 class TestWeightedJaccard:
     def test_identical_words(self):
