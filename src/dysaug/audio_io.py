@@ -10,6 +10,7 @@ from __future__ import annotations
 import struct
 import wave
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
@@ -157,20 +158,22 @@ def read_wav(path) -> Waveform:
     frame_bytes = channels * dtype.itemsize
     usable = len(data_body) - len(data_body) % frame_bytes
     frames = np.frombuffer(data_body[:usable], dtype=dtype)
-    if dtype.kind == "f" and not np.isfinite(frames).all():
-        raise WavFormatError(f"{path}: non-finite samples (NaN or Inf) in float data")
     if channels > 1:
         # column by column, as np.mean's reduction does up to 7 channels,
-        # but without its strided per-frame loop
+        # but without its strided per-frame loop; float32 sums may overflow
         columns = frames.reshape(-1, channels)
         mixed = columns[:, 0].astype(np.float64 if dtype.kind == "i" else np.float32)
-        for c in range(1, channels):
-            mixed += columns[:, c]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in range(1, channels):
+                mixed += columns[:, c]
         mixed /= channels
         frames = mixed
     if dtype.kind == "i":
         frames = frames * PCM16_READ_SCALE
-    return Waveform(frames, rate)
+    try:
+        return Waveform(frames, rate)
+    except ValueError:  # shape and rate are valid, so its finite check failed
+        raise WavFormatError(f"{path}: non-finite samples (NaN or Inf) in float data or its mix") from None
 
 
 def write_wav(waveform: Waveform, path) -> None:
@@ -185,29 +188,46 @@ def write_wav(waveform: Waveform, path) -> None:
         out.writeframes(pcm.tobytes())
 
 
-_branch_cache: dict[tuple[int, int], np.ndarray] = {}
+# BLAS calls take at most TILE_ROWS rows and TILE_VALUES filter values, so
+# m*n*k stays under OpenBLAS's 2**18 threshold for using threads: the bytes do
+# not depend on the BLAS thread count, and batch workers start no threads
+# (256-row calls did, oversubscribing two cores and halving --jobs 2).
+TILE_ROWS = 64
+TILE_VALUES = 4000
 
 
-def _branches(up: int, down: int) -> np.ndarray:
-    """Polyphase branch filters of the windowed-sinc lowpass for one (up, down).
+@lru_cache(maxsize=64)
+def _tiles(up: int, down: int) -> tuple:
+    """Tile matrices of the windowed-sinc lowpass for one reduced (up, down).
 
-    Row r holds taps[r::up] reversed and front-padded to TAPS_PER_PHASE + 1,
-    so a window of the input dotted with row r yields an output at phase r.
+    Returns (stride, row, tiles): row i of the padded input starts at sample
+    i * stride and yields `row` outputs, and tile (q0, q1, b0, b1, h) makes
+    outputs q0 .. q1 - 1 of a row from its samples b0 .. b1 - 1.
     """
-    key = (up, down)
-    got = _branch_cache.get(key)
-    if got is None:
-        half = (TAPS_PER_PHASE // 2) * up
-        n_taps = 2 * half + 1
-        m = np.arange(n_taps) - half
-        # pass band ends at the tighter of the two Nyquist limits, expressed
-        # in cycles per sample of the intermediate (x up) rate
-        cutoff = 0.5 / max(up, down)
-        taps = up * 2.0 * cutoff * np.sinc(2.0 * cutoff * m) * np.kaiser(n_taps, KAISER_BETA)
-        got = np.pad(taps, (0, up - 1)).reshape(TAPS_PER_PHASE + 1, up).T[:, ::-1].copy()
-        if len(_branch_cache) < 64:
-            _branch_cache[key] = got
-    return got
+    span = TAPS_PER_PHASE + 1
+    m = np.arange(-(TAPS_PER_PHASE // 2) * up, (TAPS_PER_PHASE // 2) * up + 1)
+    # pass band ends at the tighter of the two Nyquist limits, expressed
+    # in cycles per sample of the intermediate (x up) rate
+    cutoff = 0.5 / max(up, down)
+    taps = up * 2.0 * cutoff * np.sinc(2.0 * cutoff * m) * np.kaiser(len(m), KAISER_BETA)
+    # branch r, taps[r::up] reversed, dotted with `span` inputs gives phase r
+    branches = np.pad(taps, (0, up - 1)).reshape(span, up).T[:, ::-1]
+    # rows of at least two windows leave room for bands of several outputs
+    stride = -(-2 * span // down) * down
+    row = stride // down * up
+    # output q of a row sits at q*down = k*up + r on the (x up) grid and reads
+    # samples k .. k + span - 1, so n adjacent outputs read at most width[n-1]
+    k, r = np.divmod(np.arange(row) * down, up)
+    n = np.arange(1, row + 1)
+    width = (n - 1) * down // up + 1 + span
+    cols = n[(width <= stride) & (width * n <= TILE_VALUES)].max()
+    tiles = []
+    for q0 in range(0, row, cols):
+        q = np.arange(q0, min(q0 + cols, row))
+        h = np.zeros((k[q[-1]] + span - k[q0], len(q)))
+        h[k[q] - k[q0] + np.arange(span)[:, None], q - q0] = branches[r[q]].T
+        tiles.append((q0, q[-1] + 1, k[q0], k[q[-1]] + span, h))
+    return stride, row, tiles
 
 
 def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
@@ -215,6 +235,8 @@ def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
 
     Output length is ceil(len(x) * up / down); the result is aligned so that
     output sample j sits at input time j * down / up (no group delay).
+    The zero-padded input is read as overlapping rows (see `_tiles`), and
+    each tile of outputs is the product of a band of those rows with a tile.
     """
     if up <= 0 or down <= 0:
         raise ValueError(f"resampling factors must be positive, got {up}/{down}")
@@ -222,27 +244,22 @@ def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
     up //= g
     down //= g
     x = np.asarray(x, dtype=np.float64)
-    if up == down:
-        return x.copy()
-    if len(x) == 0:
+    if up == down or len(x) == 0:
         return x.copy()
 
-    branches = _branches(up, down)
+    stride, row, tiles = _tiles(up, down)
     n_out = -(-len(x) * up // down)
-    # Output j sits at j*down = k*up + r on the (x up) grid: it is the input
-    # window x[k-32 : k+33] dotted with branch r.  Outputs j0, j0+up, ...
-    # share r and step k by `down`.  einsum, unlike matmul, keeps its fast
-    # loop when windows overlap (down < 65), as they do for speed factors.
+    n_rows = -(-n_out // row)
     lead = TAPS_PER_PHASE // 2
-    last_k = (n_out - 1) * down // up
-    xpad = np.pad(x, (lead, max(0, last_k + lead + 1 - len(x))))
-    windows = np.lib.stride_tricks.sliding_window_view(xpad, TAPS_PER_PHASE + 1)
-    y = np.empty(n_out)
-    for j0 in range(min(up, n_out)):
-        k0, r = divmod(j0 * down, up)
-        phase = y[j0::up]
-        np.einsum("ij,j->i", windows[k0::down][: len(phase)], branches[r], out=phase)
-    return y
+    xpad = np.zeros(n_rows * stride + TAPS_PER_PHASE)
+    xpad[lead : lead + len(x)] = x
+    rows = np.lib.stride_tricks.as_strided(xpad, (n_rows, stride + TAPS_PER_PHASE), (8 * stride, 8))
+    y = np.empty((n_rows, row))
+    for h0 in range(0, n_rows, TILE_ROWS):
+        for q0, q1, b0, b1, h in tiles:
+            # a band is no wider than the row stride, so BLAS reads it in place
+            np.matmul(rows[h0 : h0 + TILE_ROWS, b0:b1], h, out=y[h0 : h0 + TILE_ROWS, q0:q1])
+    return y.ravel()[:n_out]
 
 
 def resample(waveform: Waveform, target_rate: int) -> Waveform:

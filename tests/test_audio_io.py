@@ -1,10 +1,16 @@
 import dataclasses
+import os
+import re
 import struct
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dysaug
 from dysaug import (
     UnsupportedCodecError,
     Waveform,
@@ -98,6 +104,14 @@ class TestReadWav:
         with pytest.raises(WavFormatError, match="non-finite samples"):
             read_wav(path)
 
+    @pytest.mark.parametrize("frame", [(3e38, 3e38), (np.inf, -np.inf), (np.nan, 0.0)])
+    def test_non_finite_float32_stereo_mix_rejected(self, tmp_path, frame):
+        # finite channels whose float32 sum overflows count as non-finite too
+        path = tmp_path / "loud.wav"
+        write_float32_file(path, [0.1, 0.2, *frame, -0.2, 0.1], channels=2)
+        with pytest.raises(WavFormatError, match=re.escape(f"{path}: non-finite samples")):
+            read_wav(path)
+
     def test_extensible_pcm16(self, tmp_path):
         sub = struct.pack("<H", 1) + b"\x00\x00" + bytes(range(14))
         fmt = struct.pack("<HHIIHHH", 0xFFFE, 1, 16000, 32000, 2, 16, 22) + b"\x10\x00" + b"\x00\x00\x00\x00" + sub[:16]
@@ -173,30 +187,65 @@ class TestResample:
 
 
 def _dense_resample(x, up, down):
-    """Direct sum y[j] = sum_i x[i] h[j*down - i*up + 32*up] over the prototype."""
+    """Direct sum y[j] = sum_i x[i] h[j*down - i*up + 32*up] over the prototype.
+
+    Only the 65 inputs from ceil((j*down - 32*up) / up) on can fall inside
+    the prototype, so each output sums over those, in blocks of outputs.
+    """
     half = 32 * up
     m = np.arange(2 * half + 1) - half
     cutoff = 0.5 / max(up, down)
     h = up * 2.0 * cutoff * np.sinc(2.0 * cutoff * m) * np.kaiser(2 * half + 1, 8.6)
-    i = np.arange(len(x))
     y = np.zeros(-(-len(x) * up // down))
-    for j in range(len(y)):
+    for j0 in range(0, len(y), 4096):
+        j = np.arange(j0, min(j0 + 4096, len(y)))[:, None]
+        i = -((half - j * down) // up) + np.arange(65)
         idx = j * down - i * up + half
-        inside = (idx >= 0) & (idx <= 2 * half)
-        y[j] = np.dot(x[inside], h[idx[inside]])
+        inside = (idx >= 0) & (idx <= 2 * half) & (i >= 0) & (i < len(x))
+        terms = x[np.clip(i, 0, len(x) - 1)] * h[np.clip(idx, 0, 2 * half)]
+        y[j[:, 0]] = np.where(inside, terms, 0.0).sum(axis=1)
     return y
 
 
 class TestResampleSequence:
+    # the 60000-sample input gives every pair at least three blocks of 64 rows
     @pytest.mark.parametrize("up, down", [(160, 441), (441, 160), (320, 441),
-                                          (5, 6), (5, 9), (1, 2), (2, 1)])
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200, 4000])
+                                          (5, 6), (5, 7), (5, 9), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200, 4000, 20011, 60000])
     def test_matches_dense_oracle(self, up, down, n):
         x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
         y = resample_sequence(x, up, down)
         expected = _dense_resample(x, up, down)
         assert y.shape == expected.shape
         np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
+
+
+BLAS_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from dysaug import resample_sequence
+
+x = np.random.default_rng(5).uniform(-1.0, 1.0, 352800)
+digest = hashlib.sha256()
+for up, down in [(5, 6), (5, 7), (5, 9), (1, 2), (160, 441)]:
+    digest.update(resample_sequence(x, up, down).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_resample_does_not_depend_on_blas_threads():
+    # the S1-S4 speed factors and 44.1 -> 16 kHz on 8 s of noise; a BLAS call
+    # split across threads may sum in another order
+    src = Path(dysaug.__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestWaveform:
