@@ -74,7 +74,7 @@ class Waveform:
             raise ValueError(f"waveform samples must be 1-D, got shape {samples.shape}")
         # NaN/Inf would reach write_wav's int16 cast, whose result is platform-defined
         if not np.isfinite(samples).all():
-            raise ValueError("waveform has non-finite samples (NaN or Inf)")
+            raise ValueError("non-finite samples (NaN or Inf)")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         clipped = np.clip(samples, -1.0, 1.0)
@@ -90,13 +90,13 @@ class Waveform:
         return len(self.samples) / self.sample_rate
 
 
-def _parse_fmt_chunk(body: bytes) -> tuple[int, int, int, int]:
+def _parse_fmt_chunk(body: bytes, path) -> tuple[int, int, int, int]:
     if len(body) < 16:
-        raise WavFormatError(f"fmt chunk too short: {len(body)} bytes")
+        raise WavFormatError(f"{path}: fmt chunk too short: {len(body)} bytes")
     format_tag, channels, rate, _byte_rate, _block_align, bits = struct.unpack("<HHIIHH", body[:16])
     if format_tag == 0xFFFE:  # WAVE_FORMAT_EXTENSIBLE: real tag sits in the sub-format GUID
         if len(body) < 26:
-            raise WavFormatError("extensible fmt chunk missing sub-format")
+            raise WavFormatError(f"{path}: extensible fmt chunk missing sub-format")
         format_tag = struct.unpack("<H", body[24:26])[0]
     return format_tag, channels, rate, bits
 
@@ -110,8 +110,9 @@ def read_wav(path) -> Waveform:
     divided by their count.
 
     Raises FileNotFoundError for a missing file, WavFormatError for a
-    malformed container or non-finite float samples, and
-    UnsupportedCodecError for any other codec.
+    malformed container, a non-positive declared sample rate or non-finite
+    samples (in the float data or its mix), and UnsupportedCodecError for
+    any other codec.
     """
     raw = Path(path).read_bytes()
     view = memoryview(raw)  # chunk bodies are sliced without copying
@@ -138,11 +139,9 @@ def read_wav(path) -> Waveform:
     if data_body is None:
         raise WavFormatError(f"{path}: missing data chunk")
 
-    format_tag, channels, rate, bits = _parse_fmt_chunk(fmt_body)
+    format_tag, channels, rate, bits = _parse_fmt_chunk(fmt_body, path)
     if channels < 1:
         raise WavFormatError(f"{path}: channel count is {channels}")
-    if rate <= 0:
-        raise WavFormatError(f"{path}: declared sample rate is {rate}")
 
     if format_tag == 0x0001 and bits == 16:
         dtype = np.dtype("<i2")
@@ -172,8 +171,8 @@ def read_wav(path) -> Waveform:
         frames = frames * PCM16_READ_SCALE
     try:
         return Waveform(frames, rate)
-    except ValueError:  # shape and rate are valid, so its finite check failed
-        raise WavFormatError(f"{path}: non-finite samples (NaN or Inf) in float data or its mix") from None
+    except ValueError as exc:
+        raise WavFormatError(f"{path}: {exc}") from None
 
 
 def write_wav(waveform: Waveform, path) -> None:
@@ -253,7 +252,7 @@ def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
     lead = TAPS_PER_PHASE // 2
     xpad = np.zeros(n_rows * stride + TAPS_PER_PHASE)
     xpad[lead : lead + len(x)] = x
-    rows = np.lib.stride_tricks.as_strided(xpad, (n_rows, stride + TAPS_PER_PHASE), (8 * stride, 8))
+    rows = np.lib.stride_tricks.sliding_window_view(xpad, stride + TAPS_PER_PHASE)[::stride]
     y = np.empty((n_rows, row))
     for h0 in range(0, n_rows, TILE_ROWS):
         for q0, q1, b0, b1, h in tiles:

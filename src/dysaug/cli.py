@@ -19,6 +19,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import speed, tempo
 from .audio_io import read_wav, write_wav
 from .correction import correct_sentence, load_dictionary
 from .pipeline import (
@@ -31,8 +32,6 @@ from .pipeline import (
     write_records,
 )
 from .scoring import ConfusionMatrix, build_confusion, score
-from .speed import SPEED_FACTOR_RANGE
-from .tempo import TEMPO_FACTOR_RANGE, pertubate_signal
 
 log = logging.getLogger("dysaug")
 
@@ -103,12 +102,11 @@ def _perturb_params(parser: argparse.ArgumentParser, args) -> PerturbationParams
         return params_for(args.severity)
     if args.r1 is None or args.r2 is None:
         parser.error("provide either --severity or both --r1 and --r2")
-    lo, hi = SPEED_FACTOR_RANGE
-    if not lo <= args.r1 <= hi:
-        parser.error(f"--r1 must be in [{lo}, {hi}]")
-    lo, hi = TEMPO_FACTOR_RANGE
-    if not lo <= args.r2 <= hi:
-        parser.error(f"--r2 must be in [{lo}, {hi}]")
+    try:
+        speed._check_factor(args.r1)
+        tempo._check_factor(args.r2)
+    except ValueError as exc:
+        parser.error(str(exc))
     return PerturbationParams(speed=args.r1, tempo=args.r2)
 
 
@@ -129,7 +127,7 @@ def _read_aligned(refs_path: str, hyps_path: str) -> list[tuple[str, str]]:
 
 def _cmd_perturb(parser, args) -> int:
     params = _perturb_params(parser, args)
-    out = pertubate_signal(read_wav(args.in_path), params)
+    out = tempo.pertubate_signal(read_wav(args.in_path), params)
     write_wav(out, args.out_path)
     log.info("wrote %s (%d samples at %d Hz)", args.out_path, len(out), out.sample_rate)
     return 0

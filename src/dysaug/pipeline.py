@@ -94,26 +94,18 @@ class ManifestEntry:
         return json.dumps(asdict(self), ensure_ascii=False)
 
 
-@dataclass
-class AugmentRecord:
-    """One synthetic utterance: manifest fields plus augmentation provenance.
+@dataclass(frozen=True, kw_only=True)
+class AugmentRecord(ManifestEntry):
+    """One synthetic utterance: a manifest entry plus augmentation provenance.
 
     r1 is the speed factor and r2 the tempo factor that produced the audio;
     they always match the preset for `severity`.
     """
 
-    id: str
-    audio: str
-    text: str
-    speaker: str
-    gender: str
     source_id: str
     severity: str
     r1: float
     r2: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), ensure_ascii=False)
 
 
 def read_manifest(path) -> list[ManifestEntry]:
@@ -258,12 +250,18 @@ def run_batch(manifest, severities, replication: int, seed: int, out_dir,
 
     Severity levels are drawn without replacement per entry, deterministic
     in (seed, entry id).  Output audio lands in out_dir as
-    <id>_<severity>.wav.  Unreadable or unprocessable clips are recorded in
-    the result's failures and skipped; the batch never aborts on one file.
+    <id>_<severity>.wav, so entry ids must be unique.  Unreadable or
+    unprocessable clips are recorded in the result's failures and skipped;
+    the batch never aborts on one file.
     """
     manifest = list(manifest)
     if not manifest:
         raise ValueError("manifest is empty")
+    seen = set()
+    for entry in manifest:
+        if entry.id in seen:
+            raise ValueError(f"duplicate id {entry.id!r} in manifest")
+        seen.add(entry.id)
     severities = _check_plan(severities, replication, jobs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -171,16 +171,21 @@ def _tokens(text: str, unit: str):
     raise ValueError(f"unit must be 'word' or 'char', got {unit!r}")
 
 
-def score(pairs, unit: str = "word", arabic_normalization: bool = False) -> ScoreReport:
-    """Aggregate WER (unit='word') or CER (unit='char') over (ref, hyp) pairs."""
-    total = ScoreReport(0, 0, 0, 0, 0)
+def _alignments(pairs, unit: str, arabic_normalization: bool):
+    """Yield (ref tokens, alignment) for each (ref, hyp) text pair."""
     for ref_text, hyp_text in pairs:
         if arabic_normalization:
             ref_text = normalize_arabic(ref_text)
             hyp_text = normalize_arabic(hyp_text)
         ref = _tokens(ref_text, unit)
-        hyp = _tokens(hyp_text, unit)
-        hits, subs, dels, inss = align(ref, hyp).counts()
+        yield ref, align(ref, _tokens(hyp_text, unit))
+
+
+def score(pairs, unit: str = "word", arabic_normalization: bool = False) -> ScoreReport:
+    """Aggregate WER (unit='word') or CER (unit='char') over (ref, hyp) pairs."""
+    total = ScoreReport(0, 0, 0, 0, 0)
+    for ref, alignment in _alignments(pairs, unit, arabic_normalization):
+        hits, subs, dels, inss = alignment.counts()
         total = total + ScoreReport(subs, inss, dels, hits, len(ref))
     if total.ref_length == 0:
         raise ValueError("cannot score: every reference is empty")
@@ -194,14 +199,14 @@ class ConfusionMatrix:
     symbols[0] is the distinguished null symbol "" — its row carries
     insertion probabilities and its column deletion probabilities.
     probabilities[i, j] estimates P(symbol i is realized as symbol j).
-    Entries must be finite and non-negative, and each row must sum to 1
-    within 1e-9; the constructor (and so `load`) raises ValueError otherwise.
+    Symbols must be distinct, entries finite and non-negative, and each row
+    must sum to 1 within 1e-9; the constructor (and so `load`) raises
+    ValueError otherwise.
     """
 
     symbols: tuple[str, ...]
     probabilities: np.ndarray
     _index: dict = field(init=False, repr=False)
-    _sparse_rows: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.probabilities = np.asarray(self.probabilities, dtype=np.float64)
@@ -222,7 +227,9 @@ class ConfusionMatrix:
                 f"row {self.symbols[bad[0]]!r} sums to {p[bad[0]].sum()}, not 1"
             )
         self._index = {s: i for i, s in enumerate(self.symbols)}
-        self._sparse_rows = {}
+        if len(self._index) != k:
+            dup = next(s for s, n in Counter(self.symbols).items() if n > 1)
+            raise ValueError(f"symbol {dup!r} appears more than once")
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._index
@@ -232,14 +239,8 @@ class ConfusionMatrix:
 
     def row(self, truth: str):
         """Nonzero (symbol, probability) entries of one row."""
-        got = self._sparse_rows.get(truth)
-        if got is None:
-            values = self.probabilities[self._index[truth]]
-            got = tuple(
-                (self.symbols[j], float(values[j])) for j in np.nonzero(values)[0]
-            )
-            self._sparse_rows[truth] = got
-        return got
+        values = self.probabilities[self._index[truth]]
+        return tuple((self.symbols[j], float(values[j])) for j in np.nonzero(values)[0])
 
     @classmethod
     def identity(cls, alphabet) -> "ConfusionMatrix":
@@ -299,12 +300,10 @@ def build_confusion(pairs, smoothing: float = 0.5,
 
     # (ref char, hyp char) counts; "" stands for the missing side of an indel
     counts: Counter[tuple[str, str]] = Counter()
-    for ref_text, hyp_text in pairs:
-        if arabic_normalization:
-            ref_text = normalize_arabic(ref_text)
-            hyp_text = normalize_arabic(hyp_text)
-        ops = align(_tokens(ref_text, "char"), _tokens(hyp_text, "char")).ops
-        counts.update((ref_char or "", hyp_char or "") for _, ref_char, hyp_char in ops)
+    for _, alignment in _alignments(pairs, "char", arabic_normalization):
+        counts.update(
+            (ref_char or "", hyp_char or "") for _, ref_char, hyp_char in alignment.ops
+        )
 
     symbols = ("",) + tuple(sorted({c for pair in counts for c in pair} - {""}))
     index = {s: i for i, s in enumerate(symbols)}

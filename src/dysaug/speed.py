@@ -22,6 +22,12 @@ SPEED_FACTOR_RANGE = (0.25, 4.0)
 MIN_OUTPUT_SAMPLES = 64
 
 
+def _check_factor(factor: float) -> None:
+    lo, hi = SPEED_FACTOR_RANGE
+    if not lo <= factor <= hi:
+        raise ValueError(f"speed factor {factor} outside [{lo}, {hi}]")
+
+
 def perturb_speed(waveform: Waveform, factor: float) -> Waveform:
     """Rescale the time axis by `factor` at a fixed declared sample rate.
 
@@ -29,9 +35,7 @@ def perturb_speed(waveform: Waveform, factor: float) -> Waveform:
     at frequency f moves to factor * f.  factor > 1 gives faster, higher
     speech; factor < 1 slower, lower speech.
     """
-    lo, hi = SPEED_FACTOR_RANGE
-    if not lo <= factor <= hi:
-        raise ValueError(f"speed factor {factor} outside [{lo}, {hi}]")
+    _check_factor(factor)
     if len(waveform) == 0:
         raise ValueError("cannot speed-perturb an empty waveform")
 

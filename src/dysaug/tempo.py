@@ -4,10 +4,11 @@ Changes duration by a factor while leaving pitch and spectral envelope
 alone: output frames are laid down at a fixed synthesis hop, and each one
 is copied from wherever, within a small tolerance around its nominal
 analysis position, the input best continues the previously copied frame.
-The energies of all candidate windows come from one prefix sum of the
-squared input per call (restarted every frame length, so quiet passages
-after loud ones keep their precision), so each frame's seek is one
-cross-correlation, a slice of that table and an in-place normalization.
+The energies of all candidate windows, and of the continuation target,
+come from one prefix sum of the squared input per call (restarted every
+frame length, so quiet passages after loud ones keep their precision), so
+each frame's seek is one cross-correlation, a slice of that table and an
+in-place normalization.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ class WsolaConfig:
             raise ValueError(f"tolerance must be non-negative, got {self.tolerance}")
 
 
+def _check_factor(factor: float) -> None:
+    lo, hi = TEMPO_FACTOR_RANGE
+    if not lo <= factor <= hi:
+        raise ValueError(f"tempo factor {factor} outside [{lo}, {hi}]")
+
+
 def _hann(n: int) -> np.ndarray:
     # periodic form: sums to a constant at 50% overlap
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -63,9 +70,7 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     envelope, which keeps amplitudes bounded.
     """
     cfg = config if config is not None else WsolaConfig()
-    lo, hi = TEMPO_FACTOR_RANGE
-    if not lo <= factor <= hi:
-        raise ValueError(f"tempo factor {factor} outside [{lo}, {hi}]")
+    _check_factor(factor)
     n = len(waveform)
     if n < cfg.frame_length:
         raise ValueError(
@@ -112,14 +117,14 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     for m in range(n_frames):
         synth_pos = m * hop
         nominal = int(round(synth_pos / factor))
-        if m == 0 or tol == 0:
+        if m == 0:
             start = min(nominal, max_start)
         else:
             target = x[prev_start + hop : prev_start + hop + frame]
             lo_pos = max(0, nominal - tol)
             hi_pos = min(nominal + tol, max_start)
             ncc = np.correlate(x[lo_pos : hi_pos + frame], target, mode="valid")
-            denom = norms[lo_pos : hi_pos + 1] * np.sqrt(target @ target)
+            denom = norms[lo_pos : hi_pos + 1] * norms[prev_start + hop]
             live = denom > 1e-12
             np.divide(ncc, denom, out=ncc, where=live)
             ncc[~live] = 0.0

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dysaug
 from dysaug import (
@@ -112,6 +114,12 @@ class TestReadWav:
         with pytest.raises(WavFormatError, match=re.escape(f"{path}: non-finite samples")):
             read_wav(path)
 
+    def test_zero_rate_rejected(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        write_pcm16_file(path, [0, 100, -100], rate=0)
+        with pytest.raises(WavFormatError, match=re.escape(f"{path}: ") + r".*rate.*\b0\b"):
+            read_wav(path)
+
     def test_extensible_pcm16(self, tmp_path):
         sub = struct.pack("<H", 1) + b"\x00\x00" + bytes(range(14))
         fmt = struct.pack("<HHIIHHH", 0xFFFE, 1, 16000, 32000, 2, 16, 22) + b"\x10\x00" + b"\x00\x00\x00\x00" + sub[:16]
@@ -122,6 +130,66 @@ class TestReadWav:
         path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
         w = read_wav(path)
         np.testing.assert_allclose(w.samples, [0.5])
+
+
+_FORMAT_TAGS = (0x0001, 0x0003, 0x0006, 0x0055, 0xFFFE)
+
+
+def _rarely(draw) -> bool:
+    return draw(st.sampled_from([False] * 7 + [True]))
+
+
+@st.composite
+def _riff_files(draw):
+    """RIFF files around one fmt and one data chunk, each field valid or
+    hostile: chunk ids, declared sizes, codec fields and total length."""
+    extra = st.sampled_from([b"fmt ", b"data", b"LIST"]) | st.binary(min_size=4, max_size=4)
+    ids = draw(st.permutations([b"fmt ", b"data"] + draw(st.lists(extra, max_size=2))))
+    chunks = b""
+    for chunk_id in ids:
+        if _rarely(draw):
+            chunk_id = draw(st.binary(min_size=4, max_size=4))
+        if chunk_id == b"fmt ":
+            tag = draw(st.sampled_from(_FORMAT_TAGS))
+            channels = draw(st.integers(0, 7))
+            rate = draw(st.sampled_from([0, 1, 16000, 44100]))
+            bits = 32 if tag == 0x0003 else 16
+            if _rarely(draw):
+                bits = draw(st.sampled_from([8, 16, 24, 32]))
+            block = channels * bits // 8
+            body = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+            if tag == 0xFFFE:  # cbSize, valid bits, channel mask, sub-format GUID
+                sub_tag = draw(st.sampled_from(_FORMAT_TAGS[:-1]))
+                body += struct.pack("<HHIH", 22, bits, 0, sub_tag) + bytes(14)
+            if _rarely(draw):
+                body = body[: draw(st.integers(0, len(body)))]
+        else:
+            body = draw(st.binary(max_size=64))
+        size = len(body)
+        if _rarely(draw):
+            size = draw(st.sampled_from([size | 1, size // 2, 0, 0xFFFFFFFF]))
+        chunks += chunk_id + struct.pack("<I", size) + body
+        if len(body) % 2 and not _rarely(draw):
+            chunks += b"\x00"
+    riff, form = b"RIFF", b"WAVE"
+    if _rarely(draw):
+        riff, form = draw(st.sampled_from([(b"RIFF", b"AVI "), (b"RIFX", b"WAVE")]))
+    data = riff + struct.pack("<I", 4 + len(chunks)) + form + chunks
+    return data[: draw(st.integers(0, len(data)))] if _rarely(draw) else data
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_riff_files())
+def test_read_wav_fuzz_gives_waveform_or_format_error(tmp_path, data):
+    path = tmp_path / "fuzz.wav"
+    path.write_bytes(data)
+    try:
+        result = read_wav(path)
+    except WavFormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert isinstance(result, Waveform)
 
 
 class TestWriteWav:

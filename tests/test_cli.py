@@ -59,10 +59,14 @@ class TestPerturb:
         proc = run_cli("perturb", "--in", "a.wav", "--out", "b.wav", "--r1", "1.5")
         assert proc.returncode == 2
 
-    def test_factor_out_of_range(self):
+    def test_factor_out_of_range(self, tmp_path):
         proc = run_cli("perturb", "--in", "a.wav", "--out", "b.wav",
                        "--r1", "9.0", "--r2", "0.5")
         assert proc.returncode == 2
+        proc = run_cli("perturb", "--in", str(tmp_path / "none.wav"),
+                       "--out", str(tmp_path / "b.wav"), "--r1", "1.5", "--r2", "9.0")
+        assert proc.returncode == 2
+        assert "tempo factor 9.0" in proc.stderr
 
     def test_missing_input_exits_1(self, tmp_path):
         proc = run_cli("perturb", "--in", str(tmp_path / "none.wav"),

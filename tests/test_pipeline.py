@@ -281,6 +281,13 @@ class TestRunBatch:
             run_batch(entries, SEVERITIES, 2, 0, tmp_path / "out", jobs=0)
         assert not (tmp_path / "out").exists()
 
+    def test_duplicate_ids_rejected_before_out_dir(self, tmp_path):
+        entries = [ManifestEntry("x", str(tmp_path / "a.wav")),
+                   ManifestEntry("x", str(tmp_path / "b.wav"))]
+        with pytest.raises(ValueError, match="duplicate id 'x'"):
+            run_batch(entries, SEVERITIES, 1, 0, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_no_severities(self, tmp_path):
         entries = _write_manifest(tmp_path, count=1)
         with pytest.raises(ValueError, match="at least one"):
@@ -298,6 +305,17 @@ class TestRunBatch:
         assert obj["severity"] == "S3"
         assert obj["r1"] == 1.8
         assert obj["r2"] == 0.4
+
+
+    def test_output_manifest_is_an_input_manifest(self, tmp_path):
+        entries = _write_manifest(tmp_path, count=2)
+        result = run_batch(entries, SEVERITIES, 2, 0, tmp_path / "out")
+        out = tmp_path / "records.jsonl"
+        write_records(result.records, out)
+        fields = ("id", "audio", "text", "speaker", "gender")
+        assert [tuple(getattr(e, f) for f in fields) for e in read_manifest(out)] == [
+            tuple(getattr(r, f) for f in fields) for r in result.records
+        ]
 
 
 def test_perturbation_params_accepts_free_factors():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,17 @@ class TestConfusionMatrixValidation:
 
         with pytest.raises(ValueError, match=match):
             ConfusionMatrix.from_dict(obj)
+
+    def test_rejects_repeated_symbol(self, tmp_path):
+        from dysaug import ConfusionMatrix
+
+        with pytest.raises(ValueError, match="symbol 'a' appears more than once"):
+            ConfusionMatrix(("", "a", "a"), np.eye(3))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"alphabet": ["", "a", "a"],
+                                    "probabilities": np.eye(3).tolist()}), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: symbol 'a'")):
+            ConfusionMatrix.load(path)
 
     def test_accepts_rounding_within_tolerance(self):
         from dysaug import ConfusionMatrix
