@@ -7,6 +7,7 @@ containers and PCM scaling.
 
 from __future__ import annotations
 
+import math
 import struct
 import wave
 from dataclasses import dataclass
@@ -60,7 +61,8 @@ _FORMAT_TAG_NAMES = {
 class Waveform:
     """Mono audio: float32 amplitudes in [-1, 1] plus a sample rate in Hz.
 
-    Building one clips the samples into a new array, never a view of the caller's.
+    Building one copies the samples into a new float32 array, never a view of
+    the caller's, and clips them there.
     The fields cannot be reassigned and the samples are read-only, so they
     keep the constructor's checks.
     """
@@ -69,17 +71,20 @@ class Waveform:
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float32)
+        samples = np.array(self.samples, dtype=np.float32)  # always a fresh copy
         if samples.ndim != 1:
             raise ValueError(f"waveform samples must be 1-D, got shape {samples.shape}")
-        # NaN/Inf would reach write_wav's int16 cast, whose result is platform-defined
-        if not np.isfinite(samples).all():
+        # NaN/Inf would reach write_wav's int16 cast, whose result is platform-defined;
+        # min and max carry a NaN through and show an infinity
+        lo, hi = (float(samples.min()), float(samples.max())) if samples.size else (0.0, 0.0)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("non-finite samples (NaN or Inf)")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        clipped = np.clip(samples, -1.0, 1.0)
-        clipped.flags.writeable = False
-        object.__setattr__(self, "samples", clipped)
+        if lo < -1.0 or hi > 1.0:
+            np.clip(samples, -1.0, 1.0, out=samples)
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -10,7 +10,9 @@ characters it is confusable with, so likely mix-ups shrink the distance.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,20 +32,26 @@ __all__ = [
 _TIE_TOLERANCE = 1e-12
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
-    """A correction vocabulary with optional word frequencies."""
+    """A correction vocabulary with optional word frequencies.
+
+    The fields cannot be reassigned and `freq` is a read-only copy of the
+    mapping given, so caches keyed on a dictionary's identity stay valid.
+    """
 
     words: frozenset
-    freq: dict
+    freq: Mapping[str, int]
 
     def __post_init__(self):
         if not self.words:
             raise ValueError("dictionary must contain at least one word")
+        object.__setattr__(self, "words", frozenset(self.words))
+        object.__setattr__(self, "freq", MappingProxyType(dict(self.freq)))
 
     @classmethod
     def from_words(cls, words, freq=None) -> "Dictionary":
-        return cls(words=frozenset(words), freq=dict(freq or {}))
+        return cls(words=frozenset(words), freq=freq or {})
 
     def frequency(self, word: str) -> int:
         return self.freq.get(word, 0)
@@ -98,8 +106,8 @@ def profile(word: str, matrix: ConfusionMatrix | None = None) -> dict[str, float
 
 @functools.lru_cache(maxsize=8192)
 def _cached_profile(word: str, matrix: ConfusionMatrix | None) -> dict[str, float]:
-    # keyed by the word and the matrix's identity, which is immutable after
-    # load; callers must not mutate the shared dict
+    # keyed by the word and the matrix's identity (a ConfusionMatrix cannot
+    # change after construction); callers must not mutate the shared dict
     if not word:
         raise ValueError("cannot profile an empty word")
     counts: dict[str, float] = {}
@@ -227,7 +235,7 @@ class _ProfileIndex:
 
 @functools.lru_cache(maxsize=8)
 def _profile_index(dictionary: Dictionary, matrix: ConfusionMatrix | None) -> _ProfileIndex:
-    # keyed by object identity; both are immutable after load
+    # keyed by object identity; neither can change after construction
     return _ProfileIndex(dictionary, matrix)
 
 

@@ -192,7 +192,7 @@ def score(pairs, unit: str = "word", arabic_normalization: bool = False) -> Scor
     return total
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """Row-stochastic character confusion estimate.
 
@@ -202,6 +202,10 @@ class ConfusionMatrix:
     Symbols must be distinct, entries finite and non-negative, and each row
     must sum to 1 within 1e-9; the constructor (and so `load`) raises
     ValueError otherwise.
+
+    The fields cannot be reassigned and `probabilities` is a read-only
+    float64 copy of the array given, so a matrix keeps its checks, and
+    caches keyed on its identity stay valid.
     """
 
     symbols: tuple[str, ...]
@@ -209,16 +213,15 @@ class ConfusionMatrix:
     _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.probabilities = np.asarray(self.probabilities, dtype=np.float64)
+        p = np.array(self.probabilities, dtype=np.float64)
+        p.flags.writeable = False
+        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "symbols", tuple(self.symbols))
         k = len(self.symbols)
-        if self.probabilities.shape != (k, k):
-            raise ValueError(
-                f"probability matrix shape {self.probabilities.shape} does not match "
-                f"{k} symbols"
-            )
+        if p.shape != (k, k):
+            raise ValueError(f"probability matrix shape {p.shape} does not match {k} symbols")
         if self.symbols[0] != "":
             raise ValueError('symbols[0] must be the null symbol ""')
-        p = self.probabilities
         if not (np.isfinite(p).all() and (p >= 0).all()):
             raise ValueError("probabilities must be finite and non-negative")
         bad = np.flatnonzero(np.abs(p.sum(axis=1) - 1.0) > 1e-9)
@@ -226,7 +229,7 @@ class ConfusionMatrix:
             raise ValueError(
                 f"row {self.symbols[bad[0]]!r} sums to {p[bad[0]].sum()}, not 1"
             )
-        self._index = {s: i for i, s in enumerate(self.symbols)}
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
         if len(self._index) != k:
             dup = next(s for s, n in Counter(self.symbols).items() if n > 1)
             raise ValueError(f"symbol {dup!r} appears more than once")

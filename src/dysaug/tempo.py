@@ -4,16 +4,27 @@ Changes duration by a factor while leaving pitch and spectral envelope
 alone: output frames are laid down at a fixed synthesis hop, and each one
 is copied from wherever, within a small tolerance around its nominal
 analysis position, the input best continues the previously copied frame.
-The energies of all candidate windows, and of the continuation target,
-come from one prefix sum of the squared input per call (restarted every
-frame length, so quiet passages after loud ones keep their precision), so
-each frame's seek is one cross-correlation, a slice of that table and an
-in-place normalization.
+Only the seek and the overlap-add run per frame; everything else is done
+once per call or once per geometry:
+
+- The energies of all candidate windows, and of the continuation target,
+  come from one prefix sum of the squared input per call (restarted every
+  frame length, so quiet passages after loud ones keep their precision).
+- The candidate range of every frame is computed before the loop, so a
+  seek is one cross-correlation, one product of norms, one in-place
+  division and an argmax.
+- A candidate whose normalizing product is at most 1e-12 scores 0.  The
+  least norm over the 64-sample blocks a seek spans bounds every product
+  from below, so the mask runs only where that bound does not rule it out.
+- The window envelope depends only on the geometry for every returned
+  sample: a head, then one hop-long period that repeats.  Both are built
+  once per geometry and cached, and the output is divided by them in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +34,9 @@ from .speed import perturb_speed
 __all__ = ["TEMPO_FACTOR_RANGE", "WsolaConfig", "perturb_tempo", "pertubate_signal"]
 
 TEMPO_FACTOR_RANGE = (0.25, 4.0)
+
+# width of the blocks whose minimum norms bound every seek from below
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -56,6 +70,31 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+@lru_cache(maxsize=16)
+def _geometry(frame: int, hop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(window, envelope head, envelope period) of one frame geometry.
+
+    Frames run up to ceil(n_out / hop) - 1, so every frame m with
+    m * hop <= p < m * hop + frame exists for a returned sample p < n_out,
+    and the overlap-added window envelope there depends on p alone: a head
+    of (c - 1) * hop samples, c = ceil(frame / hop), then one hop-long
+    period that repeats.  Both are summed in frame order, as a frame-by-frame
+    accumulation would, and clamped at 1e-8.  The arrays are shared between
+    calls, so they are read-only.
+    """
+    win = _hann(frame)
+    c = -(-frame // hop)
+    envelope = np.zeros(c * hop + frame)
+    for m in range(c):
+        envelope[m * hop : m * hop + frame] += win
+    np.maximum(envelope, 1e-8, out=envelope)
+    head = envelope[: (c - 1) * hop]
+    period = envelope[(c - 1) * hop : c * hop]
+    for a in (win, head, period):
+        a.flags.writeable = False
+    return win, head, period
+
+
 def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None = None) -> Waveform:
     """Stretch or compress duration by `factor` with pitch preserved.
 
@@ -80,13 +119,14 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     frame = cfg.frame_length
     hop = cfg.synthesis_hop
     tol = cfg.tolerance
-    win = _hann(frame)
+    win, head, period = _geometry(frame, hop)
 
     n_out = int(round(factor * n))
     n_frames = max(1, -(-n_out // hop))
 
     # zero-pad so late frames and the continuation target stay in bounds
-    x = np.concatenate([waveform.samples.astype(np.float64), np.zeros(frame + tol + hop)])
+    x = np.zeros(n + frame + tol + hop)
+    x[:n] = waveform.samples
     max_start = len(x) - frame
 
     # norms[k] = ||x[k : k + frame]|| for every start k, from one prefix sum
@@ -110,31 +150,47 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     np.sqrt(norms, out=norms)
     del prefix, blocks
 
-    acc = np.zeros(n_out + frame + hop)
-    envelope = np.zeros_like(acc)
+    # Candidate starts of frame m are lo[m]..hi[m] around the nominal
+    # m * hop / factor, rounded half to even as round() does.
+    nominal = np.rint(np.arange(n_frames) * hop / factor)
+    lo = np.maximum(nominal - tol, 0).astype(np.intp)
+    hi = np.minimum(nominal + tol, max_start).astype(np.intp)
+    # A candidate whose normalizing product is at most 1e-12 scores 0.
+    # bounds[m] is the least candidate norm over the _BLOCK-sample blocks
+    # that frame m's candidates touch; rounding is monotone, so when
+    # bounds[m] * ||target|| > 1e-12 no candidate of frame m can be dead.
+    block_min = np.minimum.reduceat(norms[: max_start + 1], np.arange(0, max_start + 1, _BLOCK))
+    edges = np.stack([lo // _BLOCK, hi // _BLOCK + 1], axis=1).ravel()
+    bounds = np.minimum.reduceat(np.append(block_min, np.inf), edges)[::2]
 
+    acc = np.zeros(n_out + frame + hop)
+    acc[:frame] += win * x[:frame]  # frame 0 starts at 0
+    windowed = np.empty(frame)
     prev_start = 0
-    for m in range(n_frames):
-        synth_pos = m * hop
-        nominal = int(round(synth_pos / factor))
-        if m == 0:
-            start = min(nominal, max_start)
-        else:
-            target = x[prev_start + hop : prev_start + hop + frame]
-            lo_pos = max(0, nominal - tol)
-            hi_pos = min(nominal + tol, max_start)
-            ncc = np.correlate(x[lo_pos : hi_pos + frame], target, mode="valid")
-            denom = norms[lo_pos : hi_pos + 1] * norms[prev_start + hop]
-            live = denom > 1e-12
-            np.divide(ncc, denom, out=ncc, where=live)
-            ncc[~live] = 0.0
-            start = lo_pos + int(np.argmax(ncc))
-        acc[synth_pos : synth_pos + frame] += win * x[start : start + frame]
-        envelope[synth_pos : synth_pos + frame] += win
+    for pos, lo_pos, hi_pos, bound in zip(
+        range(hop, n_frames * hop, hop), lo[1:].tolist(), hi[1:].tolist(), bounds[1:].tolist()
+    ):
+        target_pos = prev_start + hop
+        target_norm = norms.item(target_pos)
+        ncc = np.correlate(x[lo_pos : hi_pos + frame], x[target_pos : target_pos + frame], mode="valid")
+        denom = norms[lo_pos : hi_pos + 1] * target_norm
+        if bound * target_norm <= 1e-12:
+            # ncc / inf is +-0, which argmax ranks as the 0 of a dead candidate
+            denom[denom <= 1e-12] = np.inf
+        ncc /= denom
+        start = lo_pos + int(ncc.argmax())
+        np.multiply(win, x[start : start + frame], out=windowed)
+        acc[pos : pos + frame] += windowed
         prev_start = start
 
-    y = acc[:n_out] / np.maximum(envelope[:n_out], 1e-8)
-    return Waveform(y, waveform.sample_rate)
+    # renormalize by the envelope: the head, then whole periods (samples
+    # past n_out are divided too, but never returned)
+    split = min(len(head), n_out)
+    acc[:split] /= head[:split]
+    n_periods = max(0, -(-(n_out - split) // hop))
+    periods = acc[split : split + n_periods * hop].reshape(n_periods, hop)
+    periods /= period
+    return Waveform(acc[:n_out], waveform.sample_rate)
 
 
 def pertubate_signal(waveform: Waveform, params) -> Waveform:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dysaug
 from dysaug import (
@@ -348,6 +349,41 @@ class TestWaveform:
         w = Waveform(samples, 16000)
         samples[:] = 0.0
         np.testing.assert_array_equal(w.samples, [0.25, -0.5, 0.75])
+
+
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+@st.composite
+def _sample_arrays(draw):
+    """1-D float64, float32 or int16 arrays, empty ones included.  Floats
+    mix NaN, +-inf, -0.0 and values past +-1 with ordinary amplitudes, and
+    stay inside float32 range so the cast itself never overflows."""
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int16]))
+    if dtype is np.int16:
+        elements = st.integers(-32768, 32767)
+    else:
+        width = 32 if dtype is np.float32 else 64
+        elements = (st.floats(-2.0, 2.0, width=width)
+                    | st.floats(-_F32_MAX, _F32_MAX, width=width)
+                    | st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0]))
+    return draw(hnp.arrays(dtype, st.integers(0, 40), elements=elements))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=_sample_arrays())
+def test_waveform_is_a_clipped_float32_copy(x):
+    as_f32 = np.asarray(x, np.float32)
+    if not np.isfinite(as_f32).all():
+        with pytest.raises(ValueError, match="non-finite samples"):
+            Waveform(x, 16000)
+        return
+    w = Waveform(x, 16000)
+    want = np.clip(as_f32, -1.0, 1.0)
+    assert w.samples.dtype == np.float32
+    assert w.samples.tobytes() == want.tobytes()  # the sign of a zero included
+    assert not w.samples.flags.writeable
+    assert not np.shares_memory(w.samples, x)
 
 
 def test_same_rate_resample_passes_samples_through():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -192,6 +193,49 @@ class TestCorrectSentence:
     def test_whitespace_normalized(self):
         d = Dictionary.from_words(["a", "b"])
         assert correct_sentence("  a   b ", d) == "a b"
+
+
+class TestFrozenInputs:
+    """The profile caches key on object identity, so neither a matrix nor a
+    dictionary may change after construction."""
+
+    def test_matrix_cannot_change(self):
+        original = np.eye(3)
+        m = ConfusionMatrix(("", "a", "b"), original)
+        assert weighted_jaccard("a", "b", m) == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.probabilities[1] = [0.0, 0.0, 1.0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.probabilities = np.array([[1.0, 0, 0], [0, 0, 1], [0, 0, 1]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.symbols = ("", "a", "a")
+        original[1] = [0.0, 0.0, 1.0]
+        assert np.array_equal(m.probabilities, np.eye(3))
+        assert m.probabilities.dtype == np.float64
+        # the cached and the uncached call see the same, unchanged matrix
+        assert weighted_jaccard("a", "b", m) == 1.0
+        assert weighted_jaccard("aa", "b", m) == 1.0
+
+    def test_matrix_takes_a_float64_copy(self):
+        ints = np.eye(2, dtype=np.int64)
+        m = ConfusionMatrix(["", "a"], ints)
+        assert m.symbols == ("", "a")
+        assert m.probabilities.dtype == np.float64
+        assert not np.shares_memory(m.probabilities, ints)
+
+    def test_dictionary_cannot_change(self):
+        freq = {"abd": 1, "abe": 9}
+        d = Dictionary.from_words(freq, freq=freq)
+        assert correct_word("abx", d) == "abe"
+        with pytest.raises(TypeError):
+            d.freq["abd"] = 99
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.freq = {"abd": 99}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.words = frozenset({"abx"})
+        freq["abd"] = 99
+        assert d.frequency("abd") == 1
+        assert correct_word("abx", d) == "abe"
 
 
 class TestDictionaryFile:

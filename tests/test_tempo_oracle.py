@@ -1,6 +1,11 @@
 """`perturb_tempo` must give exactly the samples of the frozen per-frame
-kernel in `_tempo_oracle`: the per-call window energies may only change
-how the seek is computed, never which frame it picks."""
+kernel in `_tempo_oracle`: the per-call window energies, the block bound
+that skips the dead-candidate mask and the cached window envelope may only
+change how the output is computed, never which frame a seek picks or the
+value of any sample."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +18,15 @@ from dysaug import (
     perturb_speed,
     perturb_tempo,
     pertubate_signal,
+    read_manifest,
+    read_wav,
+    resample,
+    run_batch,
+    write_wav,
 )
 
 from ._tempo_oracle import oracle_perturb_tempo
+from .conftest import write_float32_file, write_pcm16_file
 
 RATE = 16000
 
@@ -41,7 +52,12 @@ def _signals():
 
 
 SIGNALS = _signals()
-GEOMETRIES = [(512, 256, 160), (256, 64, 80), (400, 100, 0), (512, 512, 100)]
+# (510, 200, 40): the hop does not divide the frame, so the envelope's head
+# spans two hops before it repeats; (256, 96, 300): each seek spans several
+# of the 64-sample blocks whose least norm decides whether it can skip the
+# dead-candidate mask
+GEOMETRIES = [(512, 256, 160), (256, 64, 80), (400, 100, 0), (512, 512, 100), (510, 200, 40),
+              (256, 96, 300)]
 
 
 @pytest.mark.parametrize("name", sorted(SIGNALS))
@@ -72,3 +88,48 @@ def test_quiet_passage_after_loud_input_matches_oracle(factor):
     x = np.concatenate([0.5 * rng.standard_normal(RATE), 1e-7 * rng.standard_normal(RATE // 2)])
     w = Waveform(x, RATE)
     assert np.array_equal(perturb_tempo(w, factor).samples, oracle_perturb_tempo(w, factor).samples)
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.3])
+def test_digital_silence_mid_clip_matches_oracle(factor):
+    # every seek whose target or candidates fall in the silent half second
+    # has dead candidates, so many mid-clip frames take the masked path
+    rng = np.random.default_rng(31)
+    x = 0.5 * rng.standard_normal(6 * RATE)
+    x[5 * RATE // 2 : 3 * RATE] = 0.0
+    w = Waveform(x, RATE)
+    assert np.array_equal(perturb_tempo(w, factor).samples, oracle_perturb_tempo(w, factor).samples)
+
+
+def test_batch_wavs_equal_oracle_chain(tmp_path):
+    # every file run_batch writes, at each input format and rate it reads,
+    # has the bytes of the oracle kernel's output
+    rng = np.random.default_rng(5)
+
+    def voice(rate, seconds, channels=1):
+        t = np.arange(int(seconds * rate)) / rate
+        x = 0.6 * np.sin(2 * np.pi * (140.0 * t + 300.0 * t**2)) * (0.6 + 0.4 * np.sin(5 * np.pi * t))
+        x = x[:, None] + 0.02 * rng.standard_normal((len(t), channels))
+        x[(t > 0.4) & (t < 0.55)] = 0.0
+        return x
+
+    clips = tmp_path / "clips"
+    clips.mkdir()
+    write_float32_file(clips / "f44.wav", voice(44100, 1.5, 2).ravel(), rate=44100, channels=2)
+    write_pcm16_file(clips / "p22.wav", np.rint(voice(22050, 1.2) * 32767).ravel(), rate=22050)
+    write_pcm16_file(clips / "p16.wav", np.rint(voice(16000, 2.0) * 32767).ravel(), rate=16000)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"id": name, "audio": str(clips / f"{name}.wav")}) + "\n"
+        for name in ("f44", "p22", "p16")
+    ), encoding="utf-8")
+
+    result = run_batch(read_manifest(manifest), SEVERITIES, 4, 3, tmp_path / "out")
+    assert not result.failures
+    assert len(result.records) == 12
+    for record in result.records:
+        params = params_for(record.severity)
+        source = resample(read_wav(clips / f"{record.source_id}.wav"), 16000)
+        want = tmp_path / "want.wav"
+        write_wav(oracle_perturb_tempo(perturb_speed(source, params.speed), params.tempo), want)
+        assert Path(record.audio).read_bytes() == want.read_bytes(), record.id
