@@ -49,6 +49,10 @@ class Dictionary:
         object.__setattr__(self, "words", frozenset(self.words))
         object.__setattr__(self, "freq", MappingProxyType(dict(self.freq)))
 
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled: rebuild through the constructor
+        return (Dictionary, (self.words, dict(self.freq)))
+
     @classmethod
     def from_words(cls, words, freq=None) -> "Dictionary":
         return cls(words=frozenset(words), freq=freq or {})

@@ -234,6 +234,10 @@ class ConfusionMatrix:
             dup = next(s for s, n in Counter(self.symbols).items() if n > 1)
             raise ValueError(f"symbol {dup!r} appears more than once")
 
+    def __reduce__(self):
+        # rebuild through the constructor, so a copy is checked and read-only too
+        return (ConfusionMatrix, (self.symbols, self.probabilities))
+
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._index
 

@@ -13,9 +13,8 @@ once per call or once per geometry:
 - The candidate range of every frame is computed before the loop, so a
   seek is one cross-correlation, one product of norms, one in-place
   division and an argmax.
-- A candidate whose normalizing product is at most 1e-12 scores 0.  The
-  least norm over the 64-sample blocks a seek spans bounds every product
-  from below, so the mask runs only where that bound does not rule it out.
+- A candidate whose normalizing product is at most 1e-12 scores 0: its
+  product is set to infinity before the division.
 - The window envelope depends only on the geometry for every returned
   sample: a head, then one hop-long period that repeats.  Both are built
   once per geometry and cached, and the output is divided by them in place.
@@ -34,9 +33,6 @@ from .speed import perturb_speed
 __all__ = ["TEMPO_FACTOR_RANGE", "WsolaConfig", "perturb_tempo", "pertubate_signal"]
 
 TEMPO_FACTOR_RANGE = (0.25, 4.0)
-
-# width of the blocks whose minimum norms bound every seek from below
-_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -155,28 +151,20 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     nominal = np.rint(np.arange(n_frames) * hop / factor)
     lo = np.maximum(nominal - tol, 0).astype(np.intp)
     hi = np.minimum(nominal + tol, max_start).astype(np.intp)
-    # A candidate whose normalizing product is at most 1e-12 scores 0.
-    # bounds[m] is the least candidate norm over the _BLOCK-sample blocks
-    # that frame m's candidates touch; rounding is monotone, so when
-    # bounds[m] * ||target|| > 1e-12 no candidate of frame m can be dead.
-    block_min = np.minimum.reduceat(norms[: max_start + 1], np.arange(0, max_start + 1, _BLOCK))
-    edges = np.stack([lo // _BLOCK, hi // _BLOCK + 1], axis=1).ravel()
-    bounds = np.minimum.reduceat(np.append(block_min, np.inf), edges)[::2]
 
     acc = np.zeros(n_out + frame + hop)
     acc[:frame] += win * x[:frame]  # frame 0 starts at 0
     windowed = np.empty(frame)
     prev_start = 0
-    for pos, lo_pos, hi_pos, bound in zip(
-        range(hop, n_frames * hop, hop), lo[1:].tolist(), hi[1:].tolist(), bounds[1:].tolist()
-    ):
+    positions = range(hop, n_frames * hop, hop)
+    for pos, lo_pos, hi_pos in zip(positions, lo[1:].tolist(), hi[1:].tolist()):
         target_pos = prev_start + hop
         target_norm = norms.item(target_pos)
         ncc = np.correlate(x[lo_pos : hi_pos + frame], x[target_pos : target_pos + frame], mode="valid")
         denom = norms[lo_pos : hi_pos + 1] * target_norm
-        if bound * target_norm <= 1e-12:
-            # ncc / inf is +-0, which argmax ranks as the 0 of a dead candidate
-            denom[denom <= 1e-12] = np.inf
+        # a candidate whose normalizing product is at most 1e-12 scores 0:
+        # ncc / inf is +-0, which argmax ranks as that 0
+        denom[denom <= 1e-12] = np.inf
         ncc /= denom
         start = lo_pos + int(ncc.argmax())
         np.multiply(win, x[start : start + frame], out=windowed)

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -235,6 +237,22 @@ class TestFrozenInputs:
             d.words = frozenset({"abx"})
         freq["abd"] = 99
         assert d.frequency("abd") == 1
+        assert correct_word("abx", d) == "abe"
+
+    @pytest.mark.parametrize(
+        "clone", [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_copies_are_rebuilt_frozen(self, clone):
+        m = clone(ConfusionMatrix(("", "a", "b"), np.eye(3)))
+        assert m.symbols == ("", "a", "b")
+        assert np.array_equal(m.probabilities, np.eye(3))
+        assert not m.probabilities.flags.writeable
+        assert weighted_jaccard("a", "b", m) == 1.0
+        d = clone(Dictionary.from_words(["abd", "abe"], freq={"abd": 1, "abe": 9}))
+        assert d.words == {"abd", "abe"}
+        assert d.frequency("abe") == 9
+        with pytest.raises(TypeError):
+            d.freq["abd"] = 99
         assert correct_word("abx", d) == "abe"
 
 
