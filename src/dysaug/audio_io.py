@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 import wave
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
@@ -200,7 +201,6 @@ TILE_ROWS = 64
 TILE_VALUES = 4000
 
 
-@lru_cache(maxsize=64)
 def _tiles(up: int, down: int) -> tuple:
     """Tile matrices of the windowed-sinc lowpass for one reduced (up, down).
 
@@ -234,6 +234,45 @@ def _tiles(up: int, down: int) -> tuple:
     return stride, row, tiles
 
 
+# the tiles of one rate pair coprime with 16000 take up to ~18 MB, so the
+# cache is bounded by bytes rather than by pairs
+TILE_CACHE_BYTES = 64 << 20
+
+
+class _TileCache:
+    """The tiles of recently used rate pairs, at most `max_bytes` in all.
+
+    The least recently used pair goes first; the pair just built always
+    stays, whatever its size.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._pairs: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __contains__(self, pair) -> bool:
+        return pair in self._pairs
+
+    def get(self, up: int, down: int) -> tuple:
+        key = (up, down)
+        with self._lock:
+            if key in self._pairs:
+                self._pairs.move_to_end(key)
+                return self._pairs[key][0]
+            tiles = _tiles(up, down)
+            size = sum(h.nbytes for *_, h in tiles[2])
+            self._pairs[key] = (tiles, size)
+            self.nbytes += size
+            while self.nbytes > self.max_bytes and len(self._pairs) > 1:
+                self.nbytes -= self._pairs.popitem(last=False)[1][1]
+            return tiles
+
+
+_tile_cache = _TileCache(TILE_CACHE_BYTES)
+
+
 def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
     """Polyphase resampling of a 1-D signal by the rational factor up/down.
 
@@ -251,7 +290,7 @@ def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
     if up == down or len(x) == 0:
         return x.copy()
 
-    stride, row, tiles = _tiles(up, down)
+    stride, row, tiles = _tile_cache.get(up, down)
     n_out = -(-len(x) * up // down)
     n_rows = -(-n_out // row)
     lead = TAPS_PER_PHASE // 2

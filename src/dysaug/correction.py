@@ -161,11 +161,13 @@ def weighted_jaccard(word_a: str, word_b: str, matrix: ConfusionMatrix | None = 
 class _ProfileIndex:
     """Dense profiles of every dictionary word, for one (dictionary, matrix).
 
-    Columns are the matrix symbols in matrix order (the null column
-    included), then one hard-count column per dictionary character
-    outside the matrix alphabet, in sorted order.  Rows hold the words
-    sorted by (length, word), so each word length is one contiguous
-    bucket of rows.
+    Symbols are the matrix symbols in matrix order (the null column
+    included), then one hard-count symbol per dictionary character outside
+    the matrix alphabet, in sorted order.  Words are sorted by (length,
+    word), so each word length is one contiguous bucket.  The profiles are
+    stored column-major, one contiguous row of `columns` per symbol, so a
+    query can bound a bucket's distances from a few symbols before it
+    computes any word's exact distance.
     """
 
     def __init__(self, dictionary: Dictionary, matrix: ConfusionMatrix | None):
@@ -174,10 +176,13 @@ class _ProfileIndex:
         codes = np.frombuffer("".join(words).encode("utf-32-le", "surrogatepass"), dtype="<u4")
         char_codes, char_column = np.unique(codes, return_inverse=True)
         chars = [chr(c) for c in char_codes.tolist()]
+        # counts are float64 from the start (no int64 copy) and are freed
+        # before the profiles are copied column-major, to keep the build's
+        # peak memory down
         counts = np.bincount(
             np.repeat(np.arange(len(words)), lengths) * len(chars) + char_column.ravel(),
             minlength=len(words) * len(chars),
-        ).reshape(len(words), len(chars))
+        ).reshape(len(words), len(chars)).astype(np.float64)
 
         symbols = matrix.symbols if matrix is not None else ()
         extra = [c for c in chars if matrix is None or c not in matrix]
@@ -194,9 +199,11 @@ class _ProfileIndex:
                 self._char_rows[c][: len(symbols)] = matrix.probabilities[i]
         rows = np.stack([self._char_rows[c] for c in chars])
 
+        profiles = counts @ rows
+        del counts
         self.words = words
-        self.profiles = counts.astype(np.float64) @ rows
-        self.mass = self.profiles.sum(axis=1)
+        self.mass = profiles.sum(axis=1)
+        self.columns = np.ascontiguousarray(profiles.T)
         # stable sort of the (length, word) order: ranks by (-freq, length, word)
         by_key = sorted(range(len(words)), key=lambda i: -dictionary.frequency(words[i]))
         self.rank = np.empty(len(words), dtype=np.intp)
@@ -209,7 +216,7 @@ class _ProfileIndex:
     def nearest(self, word: str) -> str:
         """The word at minimal distance, ties within _TIE_TOLERANCE going
         to the lowest (-frequency, length, word)."""
-        q = np.zeros(self.profiles.shape[1])
+        q = np.zeros(len(self.columns))
         # characters in no profile add to the max-sum only
         outside = 0.0
         for c in word:
@@ -219,6 +226,12 @@ class _ProfileIndex:
             else:
                 q += row
         q_mass = q.sum() + outside
+        # sum(min(p, q)) <= sum over q's heavy symbols of min(p, q), plus q's
+        # mass on the other symbols: a cheap upper bound on a word's min-sum
+        is_heavy = q > q.mean()
+        heavy = np.flatnonzero(is_heavy)
+        q_heavy = q[heavy, None]
+        q_light = q[~is_heavy].sum()
         # sum(max(p, q)) >= max(|p|, |q|) and sum(min(p, q)) <= min(|p|, |q|),
         # so a bucket whose masses lie in [lo, hi] is at distance at least:
         bound = np.maximum(1.0 - self.mass_hi / q_mass, 1.0 - q_mass / self.mass_lo)
@@ -228,13 +241,33 @@ class _ProfileIndex:
             if bound[b] > best + _TIE_TOLERANCE:
                 break
             lo, hi = self.starts[b], self.ends[b]
-            minsum = np.minimum(self.profiles[lo:hi], q).sum(axis=1)
-            # sum(max(p, q)) = |p| + |q| - sum(min(p, q))
-            d = 1.0 - minsum / (self.mass[lo:hi] + q_mass - minsum)
-            best = min(best, d.min())
-            seen.append((lo, d))
-        tied = np.concatenate([lo + np.flatnonzero(d <= best + _TIE_TOLERANCE) for lo, d in seen])
+            upper = np.minimum(self.columns[heavy, lo:hi], q_heavy).sum(axis=0)
+            upper += q_light
+            # a margin far above rounding keeps the bound above the computed
+            # min-sum too; the distance falls as the min-sum grows, and the
+            # same float operations as in _distances are monotone, so `lower`
+            # never exceeds a word's computed distance
+            upper *= 1.0 + 1e-9
+            lower = 1.0 - upper / (self.mass[lo:hi] + q_mass - upper)
+            if not seen:
+                # the most promising word sets the first best distance
+                best = self._distances(lo + np.argmin(lower, keepdims=True), q, q_mass)[0]
+            # only words the bound cannot rule out get an exact distance
+            rows = lo + np.flatnonzero(lower <= best + _TIE_TOLERANCE)
+            d = self._distances(rows, q, q_mass)
+            best = d.min(initial=best)
+            seen.append((rows, d))
+        tied = np.concatenate([rows[d <= best + _TIE_TOLERANCE] for rows, d in seen])
         return self.words[tied[np.argmin(self.rank[tied])]]
+
+    def _distances(self, rows: np.ndarray, q: np.ndarray, q_mass: float) -> np.ndarray:
+        """Exact distances from the query profile q to the given words."""
+        # a C-contiguous block of word profiles sums each row in the same
+        # order as a row-major index would
+        profiles = np.ascontiguousarray(self.columns[:, rows].T)
+        minsum = np.minimum(profiles, q).sum(axis=1)
+        # sum(max(p, q)) = |p| + |q| - sum(min(p, q))
+        return 1.0 - minsum / (self.mass[rows] + q_mass - minsum)
 
 
 @functools.lru_cache(maxsize=8)

@@ -108,8 +108,27 @@ class AugmentRecord(ManifestEntry):
     r2: float
 
 
+# the fields read from a manifest line, with their values when absent
+_MANIFEST_FIELDS = {"id": "", "audio": "", "text": "", "speaker": "", "gender": "unknown"}
+
+
+def _json_type(value) -> str:
+    """The JSON name of a decoded value's type."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return "array" if isinstance(value, list) else "object"
+
+
 def read_manifest(path) -> list[ManifestEntry]:
-    """Load a JSONL manifest, enforcing unique ids."""
+    """Load a JSONL manifest, enforcing unique ids.
+
+    A field that is present must be a JSON string; absent fields take
+    their defaults.
+    """
     entries = []
     seen = set()
     with open(path, encoding="utf-8") as fin:
@@ -123,14 +142,13 @@ def read_manifest(path) -> list[ManifestEntry]:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
+            fields = {name: obj.get(name, default) for name, default in _MANIFEST_FIELDS.items()}
+            for name, value in fields.items():
+                if not isinstance(value, str):
+                    raise ValueError(f"{path}:{lineno}: field {name!r} must be a string, "
+                                     f"got {_json_type(value)}")
             try:
-                entry = ManifestEntry(
-                    id=str(obj.get("id", "")),
-                    audio=str(obj.get("audio", "")),
-                    text=str(obj.get("text", "")),
-                    speaker=str(obj.get("speaker", "")),
-                    gender=str(obj.get("gender", "unknown")),
-                )
+                entry = ManifestEntry(**fields)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if entry.id in seen:

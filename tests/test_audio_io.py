@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dysaug
+from dysaug import audio_io
 from dysaug import (
     UnsupportedCodecError,
     Waveform,
@@ -287,6 +288,21 @@ class TestResampleSequence:
         expected = _dense_resample(x, up, down)
         assert y.shape == expected.shape
         np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
+
+    def test_tile_cache_is_bounded_by_bytes(self, monkeypatch):
+        # every rate coprime with 16000 reduces to up = 16000 and 10-18 MB of
+        # tiles; an entry-count cap let 64 such pairs pin over 1 GB
+        cache = audio_io._TileCache(audio_io.TILE_CACHE_BYTES)
+        monkeypatch.setattr(audio_io, "_tile_cache", cache)
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 50)
+        first = resample_sequence(x, 16000, 44099)
+        for rate in (44101, 48001, 44099, 22049, 8001):
+            resample_sequence(x, 16000, rate)
+            assert cache.nbytes <= audio_io.TILE_CACHE_BYTES
+            assert (16000, rate) in cache
+        # 44101 was the least recently used pair when 22049 overflowed the cap
+        assert (16000, 44101) not in cache and (16000, 44099) in cache
+        assert np.array_equal(resample_sequence(x, 16000, 44099), first)
 
 
 BLAS_THREADS_SCRIPT = """

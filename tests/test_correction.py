@@ -24,6 +24,9 @@ from dysaug import (
     profile,
     weighted_jaccard,
 )
+from dysaug.correction import _ProfileIndex
+
+from ._correction_oracle import OracleProfileIndex
 
 
 def multiset_jaccard(word_a, word_b):
@@ -359,3 +362,70 @@ def test_correction_does_not_depend_on_hash_seed():
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(50, 400),
+    seed=st.integers(0, 2**32 - 1),
+    matrix=matrices(),
+    queries=st.lists(st.text("abcdefxz", min_size=1, max_size=9), min_size=1, max_size=8),
+)
+def test_pruned_search_matches_full_scan(size, seed, matrix, queries):
+    # hundreds of words of lengths 1-8 over five letters fill each length
+    # bucket with anagrams and equal frequencies, so ties are common
+    rng = random.Random(seed)
+    freq = {}
+    while len(freq) < size:
+        freq["".join(rng.choices("abcde", k=rng.randint(1, 8)))] = rng.randrange(3)
+    dictionary = Dictionary.from_words(freq, freq=freq)
+    index = _ProfileIndex(dictionary, matrix)
+    oracle = OracleProfileIndex(dictionary, matrix)
+    for query in queries:
+        assert index.nearest(query) == oracle.nearest(query)
+
+
+def test_pruned_search_scores_few_words_exactly(monkeypatch):
+    rng = random.Random(11)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    freq = {}
+    while len(freq) < 5000:
+        word = "".join(rng.choices(letters, k=rng.randint(2, 12)))
+        freq[word] = rng.randrange(1, 1000)
+    # every letter keeps 0.8 of its mass and spreads the rest over its
+    # neighbours and, thinly, over the whole alphabet
+    k = len(letters) + 1
+    p = np.full((k, k), 0.02 / k) + 0.78 * np.eye(k)
+    for i in range(1, k):
+        p[i, 1 + (i % 26)] += 0.1
+        p[i, 1 + ((i - 2) % 26)] += 0.1
+    p[0] = np.eye(k)[0]
+    matrix = ConfusionMatrix(("",) + tuple(letters), p / p.sum(axis=1, keepdims=True))
+    dictionary = Dictionary.from_words(freq, freq=freq)
+    index = _ProfileIndex(dictionary, matrix)
+    oracle = OracleProfileIndex(dictionary, matrix)
+
+    scored = []
+    distances = _ProfileIndex._distances
+
+    def counting(self, rows, q, q_mass):
+        scored.append(len(rows))
+        return distances(self, rows, q, q_mass)
+
+    monkeypatch.setattr(_ProfileIndex, "_distances", counting)
+    words = sorted(freq)
+    visited = 0
+    for _ in range(200):
+        word = list(rng.choice(words))
+        for _ in range(rng.randint(1, 2)):
+            word[rng.randrange(len(word))] = rng.choice(letters)
+        query = "".join(word)
+        pick = index.nearest(query)
+        assert pick == oracle.nearest(query)
+        # a scan visits at least the length buckets whose mass bound lies
+        # within the tie tolerance of the best distance
+        q_mass = sum(profile(query, matrix).values())
+        best = weighted_jaccard(query, pick, matrix)
+        bound = np.maximum(1.0 - index.mass_hi / q_mass, 1.0 - q_mass / index.mass_lo)
+        visited += (index.ends - index.starts)[bound <= best + 1e-12].sum()
+    assert sum(scored) < 0.05 * visited, (sum(scored), visited)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import wave
 
 import numpy as np
@@ -90,6 +91,18 @@ class TestManifest:
         path = tmp_path / "m.jsonl"
         path.write_text('{"id": "u1", "audio": "a.wav"}\n\n{"id": "../up", "audio": "b.wav"}\n')
         with pytest.raises(ValueError, match=r"m\.jsonl:3: entry id '\.\./up'"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("field", ["id", "audio", "text", "speaker", "gender"])
+    @pytest.mark.parametrize("value, kind", [(None, "null"), (7, "number"), (["z"], "array")])
+    def test_present_field_must_be_a_string(self, tmp_path, field, value, kind):
+        # str() once turned these into the id, path or transcript "None", "7", "['z']"
+        entry = {"id": "u2", "audio": "b.wav", "text": "t", "speaker": "s", "gender": "male"}
+        entry[field] = value
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "u1", "audio": "a.wav"}\n' + json.dumps(entry) + "\n")
+        with pytest.raises(ValueError, match=rf"m\.jsonl:2: field '{field}' must be a string, "
+                                             rf"got {kind}$"):
             read_manifest(path)
 
     @pytest.mark.parametrize("line", ["[1, 2]", '"u1"', "3"])
