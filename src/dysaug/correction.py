@@ -228,10 +228,9 @@ class _ProfileIndex:
         q_mass = q.sum() + outside
         # sum(min(p, q)) <= sum over q's heavy symbols of min(p, q), plus q's
         # mass on the other symbols: a cheap upper bound on a word's min-sum
-        is_heavy = q > q.mean()
-        heavy = np.flatnonzero(is_heavy)
+        heavy = q > q.mean()
         q_heavy = q[heavy, None]
-        q_light = q[~is_heavy].sum()
+        q_light = q[~heavy].sum()
         # sum(max(p, q)) >= max(|p|, |q|) and sum(min(p, q)) <= min(|p|, |q|),
         # so a bucket whose masses lie in [lo, hi] is at distance at least:
         bound = np.maximum(1.0 - self.mass_hi / q_mass, 1.0 - q_mass / self.mass_lo)

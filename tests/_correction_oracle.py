@@ -11,13 +11,6 @@ from dysaug.scoring import ConfusionMatrix
 _TIE_TOLERANCE = 1e-12
 
 
-def oracle_correct_word(word: str, dictionary: Dictionary,
-                        matrix: ConfusionMatrix | None = None) -> str:
-    """The nearest dictionary word by the full scan (no in-vocabulary
-    short cut, no cache)."""
-    return OracleProfileIndex(dictionary, matrix).nearest(word)
-
-
 class OracleProfileIndex:
     """Dense profiles of every dictionary word, for one (dictionary, matrix).
 
