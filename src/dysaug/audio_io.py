@@ -113,7 +113,9 @@ def read_wav(path) -> Waveform:
     Accepts 16-bit PCM and 32-bit IEEE float, any channel count.
     Multi-channel audio is downmixed to the per-frame mean: channels are
     added in order (in float32 for float data, float64 for PCM16), then
-    divided by their count.
+    divided by their count.  PCM16 is then scaled by 1/32768 in place:
+    a mix in float64, a mono clip in float32, where the scaled value of
+    every int16 is exact.
 
     Raises FileNotFoundError for a missing file, WavFormatError for a
     malformed container, a non-positive declared sample rate or non-finite
@@ -172,9 +174,14 @@ def read_wav(path) -> Waveform:
             for c in range(1, channels):
                 mixed += columns[:, c]
         mixed /= channels
+        if dtype.kind == "i":
+            mixed *= PCM16_READ_SCALE
         frames = mixed
-    if dtype.kind == "i":
-        frames = frames * PCM16_READ_SCALE
+    elif dtype.kind == "i":
+        # every int16 and the power-of-two scale are exact in float32, so
+        # this gives the float64 product's values with no float64 copy
+        frames = frames.astype(np.float32)
+        frames *= np.float32(PCM16_READ_SCALE)
     try:
         return Waveform(frames, rate)
     except ValueError as exc:
@@ -182,15 +189,22 @@ def read_wav(path) -> Waveform:
 
 
 def write_wav(waveform: Waveform, path) -> None:
-    """Write a waveform as mono 16-bit PCM RIFF/WAVE."""
-    pcm = np.rint(waveform.samples.astype(np.float64) * PCM16_FULL_SCALE)
+    """Write a waveform as mono 16-bit PCM RIFF/WAVE.
+
+    Each sample a becomes rint(32768 * a) clamped to +-32767.  The product
+    is formed in float32, where it is exact for |a| <= 1, so the integers
+    are those of the float64 formula; the int16 array goes to the file as
+    it is, without a bytes copy.
+    """
+    pcm = waveform.samples * np.float32(PCM16_FULL_SCALE)
+    np.rint(pcm, out=pcm)
     np.clip(pcm, -PCM16_PEAK, PCM16_PEAK, out=pcm)
-    pcm = pcm.astype("<i2")
+    pcm = pcm.astype(np.int16)  # native order: wave swaps it on big-endian hosts
     with wave.open(str(path), "wb") as out:
         out.setnchannels(1)
         out.setsampwidth(2)
         out.setframerate(waveform.sample_rate)
-        out.writeframes(pcm.tobytes())
+        out.writeframes(pcm)
 
 
 # BLAS calls take at most TILE_ROWS rows and TILE_VALUES filter values, so
@@ -277,31 +291,43 @@ def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
     """Polyphase resampling of a 1-D signal by the rational factor up/down.
 
     Output length is ceil(len(x) * up / down); the result is aligned so that
-    output sample j sits at input time j * down / up (no group delay).
+    output sample j sits at input time j * down / up (no group delay), and
+    it is a new float64 array.
     The zero-padded input is read as overlapping rows (see `_tiles`), and
     each tile of outputs is the product of a band of those rows with a tile.
+    The padded input is never built whole: one buffer holds the rows of one
+    block of TILE_ROWS rows, and each block's input is cast to float64 as it
+    is copied in, so besides the output a call allocates only that buffer.
     """
     if up <= 0 or down <= 0:
         raise ValueError(f"resampling factors must be positive, got {up}/{down}")
     g = gcd(up, down)
     up //= g
     down //= g
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if up == down or len(x) == 0:
-        return x.copy()
+        return x.astype(np.float64)
 
     stride, row, tiles = _tile_cache.get(up, down)
     n_out = -(-len(x) * up // down)
     n_rows = -(-n_out // row)
     lead = TAPS_PER_PHASE // 2
-    xpad = np.zeros(n_rows * stride + TAPS_PER_PHASE)
-    xpad[lead : lead + len(x)] = x
-    rows = np.lib.stride_tricks.sliding_window_view(xpad, stride + TAPS_PER_PHASE)[::stride]
+    block = np.empty(min(TILE_ROWS, n_rows) * stride + TAPS_PER_PHASE)
+    rows = np.lib.stride_tricks.sliding_window_view(block, stride + TAPS_PER_PHASE)[::stride]
     y = np.empty((n_rows, row))
     for h0 in range(0, n_rows, TILE_ROWS):
+        # block[i] is sample h0 * stride + i of the padded input, i.e. x[start + i];
+        # only the first block has a head pad, and only the last ones a tail
+        start = h0 * stride - lead
+        head = max(0, -start)
+        tail = min(len(block), len(x) - start)
+        block[:head] = 0.0
+        block[head:tail] = x[start + head : start + tail]
+        block[tail:] = 0.0
+        n = min(TILE_ROWS, n_rows - h0)
         for q0, q1, b0, b1, h in tiles:
             # a band is no wider than the row stride, so BLAS reads it in place
-            np.matmul(rows[h0 : h0 + TILE_ROWS, b0:b1], h, out=y[h0 : h0 + TILE_ROWS, q0:q1])
+            np.matmul(rows[:n, b0:b1], h, out=y[h0 : h0 + n, q0:q1])
     return y.ravel()[:n_out]
 
 

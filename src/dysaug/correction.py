@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -171,7 +172,7 @@ class _ProfileIndex:
     """
 
     def __init__(self, dictionary: Dictionary, matrix: ConfusionMatrix | None):
-        words = sorted(dictionary.words, key=lambda w: (len(w), w))
+        words = sorted(sorted(dictionary.words), key=len)  # stable: (length, word)
         lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
         codes = np.frombuffer("".join(words).encode("utf-32-le", "surrogatepass"), dtype="<u4")
         char_codes, char_column = np.unique(codes, return_inverse=True)
@@ -204,8 +205,10 @@ class _ProfileIndex:
         self.words = words
         self.mass = profiles.sum(axis=1)
         self.columns = np.ascontiguousarray(profiles.T)
-        # stable sort of the (length, word) order: ranks by (-freq, length, word)
-        by_key = sorted(range(len(words)), key=lambda i: -dictionary.frequency(words[i]))
+        # stable sort of the (length, word) order (reverse keeps it stable):
+        # ranks by (-freq, length, word)
+        freqs = list(map(dictionary.freq.get, words, repeat(0)))
+        by_key = sorted(range(len(words)), key=freqs.__getitem__, reverse=True)
         self.rank = np.empty(len(words), dtype=np.intp)
         self.rank[by_key] = np.arange(len(words))
         self.starts = np.flatnonzero(np.diff(lengths, prepend=-1))

@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import wave
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from dysaug import (
     write_wav,
 )
 
+from ._resample_oracle import oracle_resample_sequence
 from .conftest import (
     build_wav_bytes,
     fft_peak_hz,
@@ -35,6 +37,13 @@ from .conftest import (
 
 
 class TestReadWav:
+    def test_every_pcm16_code_reads_as_the_float64_formula(self, tmp_path):
+        codes = np.arange(-32768, 32768)
+        path = tmp_path / "codes.wav"
+        write_pcm16_file(path, codes)
+        want = (codes.astype(np.float64) * (1.0 / 32768.0)).astype(np.float32)
+        assert read_wav(path).samples.tobytes() == want.tobytes()
+
     def test_pcm16_scaling(self, tmp_path):
         path = tmp_path / "a.wav"
         write_pcm16_file(path, [0, 16384, -32768], rate=16000)
@@ -220,6 +229,25 @@ class TestWriteWav:
         assert np.max(np.abs(back.samples.astype(np.float64)
                              - w.samples.astype(np.float64))) <= 1 / 32768
 
+    def test_quantization_equals_float64_formula(self, tmp_path):
+        # k, k +- 0.5 and k +- 0.25 steps, their float32 neighbours, signed
+        # zeros, the smallest subnormals and random bit patterns up to 1.0
+        k = np.arange(-32768, 32769, dtype=np.float64)
+        steps = np.concatenate([k + d for d in (0.0, 0.5, -0.5, 0.25, -0.25)]) / 32768
+        v = steps[np.abs(steps) <= 1].astype(np.float32)
+        tiny = np.array([0.0, -0.0, 1e-45, -1e-45, 3e-45, -3e-45], dtype=np.float32)
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 0x3F800001, 1 << 20, dtype=np.uint32)
+        bits |= rng.integers(0, 2, 1 << 20, dtype=np.uint32) << 31
+        v = np.concatenate([v, np.nextafter(v, np.float32(2)), np.nextafter(v, np.float32(-2)),
+                            tiny, bits.view(np.float32)])
+        w = Waveform(v, 16000)
+        path = tmp_path / "q.wav"
+        write_wav(w, path)
+        want = np.clip(np.rint(w.samples.astype(np.float64) * 32768.0), -32767, 32767)
+        with wave.open(str(path)) as fin:
+            assert fin.readframes(len(w) + 1) == want.astype("<i2").tobytes()
+
 
 class TestResample:
     def test_identity_rate(self, tone_16k):
@@ -289,6 +317,29 @@ class TestResampleSequence:
         assert y.shape == expected.shape
         np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
 
+    # lengths that give 1, 63, 64, 65, 128 and 129 rows: one block of TILE_ROWS
+    # rows, just under and over it, and a second block just full or just begun
+    @pytest.mark.parametrize("up, down", [(160, 441), (441, 160), (5, 6), (5, 7),
+                                          (5, 9), (1, 2), (2, 1), (147, 160)])
+    @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_resample_oracle_bytes(self, up, down, n_rows, dtype):
+        _, row, _ = audio_io._tile_cache.get(up, down)
+        n = n_rows * row * down // up
+        n_out = -(-n * up // down)
+        assert -(-n_out // row) == n_rows
+        x = np.random.default_rng(n_rows).uniform(-1.0, 1.0, n).astype(dtype)
+        y = resample_sequence(x, up, down)
+        expected = oracle_resample_sequence(x, up, down)
+        assert y.dtype == expected.dtype and y.shape == expected.shape
+        assert y.tobytes() == expected.tobytes()
+
+    def test_same_rate_returns_a_float64_copy(self):
+        x = np.random.default_rng(1).uniform(-1.0, 1.0, 500).astype(np.float32)
+        for y in (resample_sequence(x, 3, 3), resample_sequence(x.astype(np.float64), 3, 3)):
+            assert y.dtype == np.float64 and np.array_equal(y, x)
+            assert not np.shares_memory(y, x)
+
     def test_tile_cache_is_bounded_by_bytes(self, monkeypatch):
         # every rate coprime with 16000 reduces to up = 16000 and 10-18 MB of
         # tiles; an entry-count cap let 64 such pairs pin over 1 GB
@@ -303,6 +354,47 @@ class TestResampleSequence:
         # 44101 was the least recently used pair when 22049 overflowed the cap
         assert (16000, 44101) not in cache and (16000, 44099) in cache
         assert np.array_equal(resample_sequence(x, 16000, 44099), first)
+
+
+def _traced_peak(call):
+    """(result, peak bytes traced while `call` ran); numpy buffers count."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+MB = 1 << 20
+
+
+class TestSignalPathMemory:
+    # the signal path allocates whole-clip buffers only for what it returns
+    # (or, for read_wav, the file it read); 1 MB covers blocks and objects
+
+    def test_resample_allocates_only_its_output(self):
+        x = np.random.default_rng(2).uniform(-1.0, 1.0, 12 * 44100).astype(np.float32)
+        resample_sequence(x, 160, 441)  # tiles cached, numpy warmed up
+        y, peak = _traced_peak(lambda: resample_sequence(x, 160, 441))
+        assert peak <= y.nbytes + MB
+
+    def test_read_wav_allocates_file_and_eight_bytes_a_sample(self, tmp_path):
+        n = 12 * 44100
+        path = tmp_path / "mono.wav"
+        write_pcm16_file(path, np.random.default_rng(3).integers(-32768, 32768, n), rate=44100)
+        read_wav(path)
+        w, peak = _traced_peak(lambda: read_wav(path))
+        assert len(w) == n
+        assert peak <= path.stat().st_size + 8 * n + MB
+
+    def test_write_wav_allocates_six_bytes_a_sample(self, tmp_path):
+        n = 12 * 16000
+        w = Waveform(np.random.default_rng(4).uniform(-1.0, 1.0, n), 16000)
+        write_wav(w, tmp_path / "warm.wav")
+        _, peak = _traced_peak(lambda: write_wav(w, tmp_path / "out.wav"))
+        assert peak <= 6 * n + MB
 
 
 BLAS_THREADS_SCRIPT = """
