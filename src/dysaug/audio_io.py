@@ -334,11 +334,11 @@ def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
 def resample(waveform: Waveform, target_rate: int) -> Waveform:
     """Resample to target_rate with anti-aliasing at the tighter Nyquist.
 
-    A waveform already at target_rate comes back with the same samples.
+    A waveform already at target_rate is returned as is (waveforms are immutable).
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     if target_rate == waveform.sample_rate:
-        return Waveform(waveform.samples, target_rate)
+        return waveform
     y = resample_sequence(waveform.samples, target_rate, waveform.sample_rate)
     return Waveform(y, target_rate)

@@ -19,13 +19,13 @@ import os
 import sys
 from pathlib import Path
 
-from . import speed, tempo
-from .audio_io import read_wav, write_wav
 from .correction import correct_sentence, load_dictionary
 from .pipeline import (
     SEVERITIES,
     PerturbationParams,
     _check_plan,
+    _load_clip,
+    _write_perturbed,
     params_for,
     read_manifest,
     run_batch,
@@ -103,11 +103,9 @@ def _perturb_params(parser: argparse.ArgumentParser, args) -> PerturbationParams
     if args.r1 is None or args.r2 is None:
         parser.error("provide either --severity or both --r1 and --r2")
     try:
-        speed._check_factor(args.r1)
-        tempo._check_factor(args.r2)
+        return PerturbationParams(speed=args.r1, tempo=args.r2)
     except ValueError as exc:
         parser.error(str(exc))
-    return PerturbationParams(speed=args.r1, tempo=args.r2)
 
 
 def _read_lines(path: str) -> list[str]:
@@ -127,8 +125,7 @@ def _read_aligned(refs_path: str, hyps_path: str) -> list[tuple[str, str]]:
 
 def _cmd_perturb(parser, args) -> int:
     params = _perturb_params(parser, args)
-    out = tempo.pertubate_signal(read_wav(args.in_path), params)
-    write_wav(out, args.out_path)
+    out = _write_perturbed(_load_clip(args.in_path), params, args.out_path)
     log.info("wrote %s (%d samples at %d Hz)", args.out_path, len(out), out.sample_rate)
     return 0
 

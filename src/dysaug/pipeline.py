@@ -11,11 +11,12 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .audio_io import read_wav, resample, write_wav
-from .tempo import pertubate_signal
+from .audio_io import Waveform, read_wav, resample, write_wav
+from .speed import _check_factor as _check_speed
+from .tempo import _check_factor as _check_tempo, pertubate_signal
 
 __all__ = [
     "SEVERITIES",
@@ -50,11 +51,15 @@ SEVERITIES = tuple(_SEVERITY_PARAMS)
 
 @dataclass(frozen=True)
 class PerturbationParams:
-    """A (speed, tempo) factor pair, optionally tied to a severity label."""
+    """A (speed, tempo) factor pair in range, optionally tied to a severity label."""
 
     speed: float
     tempo: float
     severity: str | None = None
+
+    def __post_init__(self):
+        _check_speed(self.speed)
+        _check_tempo(self.tempo)
 
 
 def params_for(severity: str) -> PerturbationParams:
@@ -66,17 +71,32 @@ def params_for(severity: str) -> PerturbationParams:
     return PerturbationParams(speed=speed, tempo=tempo, severity=severity)
 
 
+def _json_type(value) -> str:
+    """The JSON name of a decoded value's type."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return "array" if isinstance(value, list) else "object"
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     """One healthy utterance: id, audio path, transcript and speaker info."""
 
-    id: str
-    audio: str
+    id: str = ""
+    audio: str = ""
     text: str = ""
     speaker: str = ""
     gender: str = "unknown"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "str" and not isinstance(value, str):
+                raise ValueError(f"field {f.name!r} must be a string, got {_json_type(value)}")
         if not self.id:
             raise ValueError("manifest entry id must be non-empty")
         # the id names output files, so it must stay one path component
@@ -108,21 +128,6 @@ class AugmentRecord(ManifestEntry):
     r2: float
 
 
-# the fields read from a manifest line, with their values when absent
-_MANIFEST_FIELDS = {"id": "", "audio": "", "text": "", "speaker": "", "gender": "unknown"}
-
-
-def _json_type(value) -> str:
-    """The JSON name of a decoded value's type."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float)):
-        return "number"
-    return "array" if isinstance(value, list) else "object"
-
-
 def read_manifest(path) -> list[ManifestEntry]:
     """Load a JSONL manifest, enforcing unique ids.
 
@@ -138,21 +143,16 @@ def read_manifest(path) -> list[ManifestEntry]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("expected a JSON object")
+                entry = ManifestEntry(**{f.name: obj[f.name] for f in fields(ManifestEntry)
+                                         if f.name in obj})
+                if entry.id in seen:
+                    raise ValueError(f"duplicate id {entry.id!r}")
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            fields = {name: obj.get(name, default) for name, default in _MANIFEST_FIELDS.items()}
-            for name, value in fields.items():
-                if not isinstance(value, str):
-                    raise ValueError(f"{path}:{lineno}: field {name!r} must be a string, "
-                                     f"got {_json_type(value)}")
-            try:
-                entry = ManifestEntry(**fields)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if entry.id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate id {entry.id!r}")
             seen.add(entry.id)
             entries.append(entry)
     return entries
@@ -227,38 +227,40 @@ class BatchResult:
     failures: list[tuple[str, str]] = field(default_factory=list)  # (entry id, reason)
 
 
+def _load_clip(path) -> Waveform:
+    wave = read_wav(path)
+    # an empty clip fails every severity alike, so it is one failure
+    if len(wave) == 0:
+        raise ValueError("no audio frames")
+    return resample(wave, TARGET_RATE)
+
+
+def _write_perturbed(wave: Waveform, params: PerturbationParams, out_path: str) -> Waveform:
+    out = pertubate_signal(wave, params)
+    write_wav(out, out_path)
+    return out
+
+
 def _augment_entry(entry: ManifestEntry, severities: list[str],
                    out_dir: str) -> tuple[list[AugmentRecord], list[tuple[str, str]]]:
     records = []
     failures = []
     try:
-        wave = read_wav(entry.audio)
-        # an empty clip fails every severity alike, so it is one failure
-        if len(wave) == 0:
-            raise ValueError("no audio frames")
-        wave = resample(wave, TARGET_RATE)
+        wave = _load_clip(entry.audio)
     except Exception as exc:
         return [], [(entry.id, f"{entry.audio}: {exc}")]
     for severity in severities:
         params = params_for(severity)
         out_path = str(Path(out_dir) / f"{entry.id}_{severity}.wav")
         try:
-            perturbed = pertubate_signal(wave, params)
-            write_wav(perturbed, out_path)
+            _write_perturbed(wave, params, out_path)
         except Exception as exc:
             failures.append((entry.id, f"{out_path}: {exc}"))
             continue
-        records.append(AugmentRecord(
-            id=f"{entry.id}_{severity}",
-            audio=out_path,
-            text=entry.text,
-            speaker=entry.speaker,
-            gender=entry.gender,
-            source_id=entry.id,
-            severity=severity,
-            r1=params.speed,
-            r2=params.tempo,
-        ))
+        records.append(AugmentRecord(**{
+            **vars(entry), "id": f"{entry.id}_{severity}", "audio": out_path,
+            "source_id": entry.id, "severity": severity, "r1": params.speed, "r2": params.tempo,
+        }))
     return records, failures
 
 

@@ -503,6 +503,12 @@ def test_same_rate_resample_passes_samples_through():
     assert np.array_equal(out.samples, w.samples)
 
 
+@pytest.mark.parametrize("rate", [16000, 44100])
+def test_same_rate_resample_returns_the_waveform_itself(rate):
+    w = Waveform(np.zeros(rate // 10), rate)
+    assert resample(w, w.sample_rate) is w
+
+
 def test_waveform_fields_cannot_be_reassigned(tmp_path):
     w = Waveform(np.zeros(300), 16000)
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -3,11 +3,12 @@ import subprocess
 import sys
 import wave
 
+import numpy as np
 import pytest
 
 from dysaug import ManifestEntry, write_wav
 
-from .conftest import make_tone
+from .conftest import make_tone, write_float32_file, write_pcm16_file
 
 
 def run_cli(*args):
@@ -80,6 +81,40 @@ class TestPerturb:
         assert run_cli("perturb", "--in", str(src), "--out", str(a), "--severity", "S2").returncode == 0
         assert run_cli("perturb", "--in", str(src), "--out", str(b), "--severity", "S2").returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("rate, codec, channels",
+                             [(16000, "pcm16", 1), (22050, "pcm16", 1), (44100, "float32", 2)])
+    def test_writes_the_bytes_batch_writes(self, tmp_path, rate, codec, channels):
+        # perturb once ran WSOLA at the file's own rate and wrote 22.05 or 44.1 kHz
+        n = int(1.5 * rate)
+        t = np.arange(n) / rate
+        noise = np.random.default_rng(rate).uniform(-0.05, 0.05, (n, channels))
+        frames = (0.5 * np.sin(2 * np.pi * 220 * t)[:, None] + noise).ravel()
+        src = tmp_path / "clip.wav"
+        if codec == "pcm16":
+            write_pcm16_file(src, np.rint(frames * 32767), rate, channels)
+        else:
+            write_float32_file(src, frames, rate, channels)
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"id": "clip", "audio": str(src)}) + "\n")
+        proc = run_cli("batch", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
+                       "--severities", "S2", "--replication", "1", "--jobs", "1")
+        assert proc.returncode == 0, proc.stderr
+        dst = tmp_path / "perturbed.wav"
+        proc = run_cli("perturb", "--in", str(src), "--out", str(dst), "--severity", "S2")
+        assert proc.returncode == 0, proc.stderr
+        assert dst.read_bytes() == (tmp_path / "out" / "clip_S2.wav").read_bytes()
+        with wave.open(str(dst)) as fin:
+            assert fin.getframerate() == 16000
+
+    def test_empty_clip_exits_1(self, tmp_path):
+        src = tmp_path / "empty.wav"
+        write_pcm16_file(src, [])
+        dst = tmp_path / "b.wav"
+        proc = run_cli("perturb", "--in", str(src), "--out", str(dst), "--severity", "S1")
+        assert proc.returncode == 1
+        assert "no audio frames" in proc.stderr
+        assert not dst.exists()
 
 
 class TestBatch:

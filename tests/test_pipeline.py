@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dysaug import (
+    AugmentRecord,
     ManifestEntry,
     PerturbationParams,
     SEVERITIES,
@@ -334,3 +335,32 @@ class TestRunBatch:
 def test_perturbation_params_accepts_free_factors():
     p = PerturbationParams(speed=1.1, tempo=0.9)
     assert p.severity is None
+
+
+@pytest.mark.parametrize("speed, tempo, message", [(9.0, 1.0, "speed factor 9.0"),
+                                                   (1.0, 0.1, "tempo factor 0.1")])
+def test_perturbation_params_rejects_factors_out_of_range(speed, tempo, message):
+    with pytest.raises(ValueError, match=message):
+        PerturbationParams(speed=speed, tempo=tempo)
+
+
+_ENTRY_FIELDS = ("id", "audio", "text", "speaker", "gender")
+_PROVENANCE = {"source_id": "u", "severity": "S1", "r1": 1.2, "r2": 0.8}
+
+
+@pytest.mark.parametrize("cls, field", [(ManifestEntry, f) for f in _ENTRY_FIELDS]
+                         + [(AugmentRecord, f) for f in _ENTRY_FIELDS + ("source_id", "severity")])
+@pytest.mark.parametrize("value, kind", [(None, "null"), (5, "number"), (["z"], "array")])
+def test_entry_built_in_code_checks_its_string_fields(cls, field, value, kind):
+    # an entry built in code once wrote "text": null into an output manifest
+    kwargs = {"id": "u_S1", "audio": "a.wav", **(_PROVENANCE if cls is AugmentRecord else {})}
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=rf"^field '{field}' must be a string, got {kind}$"):
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [({"audio": "a.wav"}, "id must be non-empty"),
+                                             ({"id": "u"}, "audio path must be non-empty")])
+def test_entry_missing_id_or_audio_is_a_value_error(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ManifestEntry(**kwargs)

@@ -132,6 +132,11 @@ class TestNormalizeArabic:
     def test_leaves_plain_text(self):
         assert normalize_arabic("hello") == "hello"
 
+    def test_equals_a_per_character_filter_on_every_code_point(self):
+        strip = {0x0640} | set(range(0x064B, 0x0653))
+        text = "".join(map(chr, range(0x110000)))
+        assert normalize_arabic(text) == "".join(c for c in text if ord(c) not in strip)
+
 
 class TestBuildConfusion:
     def test_rows_are_distributions(self):
