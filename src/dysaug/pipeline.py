@@ -72,14 +72,16 @@ def params_for(severity: str) -> PerturbationParams:
 
 
 def _json_type(value) -> str:
-    """The JSON name of a decoded value's type."""
+    """The JSON name of a value's type; the Python name for a non-JSON value."""
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "boolean"
     if isinstance(value, (int, float)):
         return "number"
-    return "array" if isinstance(value, list) else "object"
+    if isinstance(value, list):
+        return "array"
+    return "object" if isinstance(value, dict) else type(value).__name__
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,21 @@ class AugmentRecord(ManifestEntry):
     """One synthetic utterance: a manifest entry plus augmentation provenance.
 
     r1 is the speed factor and r2 the tempo factor that produced the audio;
-    they always match the preset for `severity`.
+    they must equal the preset for `severity`.
     """
 
     source_id: str
     severity: str
     r1: float
     r2: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if (self.r1, self.r2) != _SEVERITY_PARAMS.get(self.severity):
+            raise ValueError(
+                f"record {self.id!r}: (r1, r2) = ({self.r1!r}, {self.r2!r}) is not the "
+                f"preset of severity {self.severity!r}; presets are {_SEVERITY_PARAMS}"
+            )
 
 
 def read_manifest(path) -> list[ManifestEntry]:

@@ -6,7 +6,7 @@ from math import gcd
 
 import numpy as np
 
-from dysaug.audio_io import TAPS_PER_PHASE, TILE_ROWS, _tile_cache
+from dysaug.audio_io import TAPS_PER_PHASE, TILE_ROWS, _tiles
 
 
 def oracle_resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
@@ -26,7 +26,7 @@ def oracle_resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
     if up == down or len(x) == 0:
         return x.copy()
 
-    stride, row, tiles = _tile_cache.get(up, down)
+    stride, row, tiles = _tiles(up, down)
     n_out = -(-len(x) * up // down)
     n_rows = -(-n_out // row)
     lead = TAPS_PER_PHASE // 2

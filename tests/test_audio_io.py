@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import re
 import struct
@@ -249,6 +250,20 @@ class TestWriteWav:
             assert fin.readframes(len(w) + 1) == want.astype("<i2").tobytes()
 
 
+def _resample_pair(monkeypatch, rate, target=16000):
+    """The (up, down) that resample hands resample_sequence for rate -> target."""
+    pairs = []
+    real = audio_io.resample_sequence
+
+    def spy(x, up, down):
+        pairs.append((up, down))
+        return real(x, up, down)
+
+    monkeypatch.setattr(audio_io, "resample_sequence", spy)
+    resample(Waveform(np.zeros(3), rate), target)
+    return pairs[-1]
+
+
 class TestResample:
     def test_identity_rate(self, tone_16k):
         out = resample(tone_16k, 16000)
@@ -276,6 +291,31 @@ class TestResample:
     def test_bad_rate(self, tone_16k):
         with pytest.raises(ValueError, match="target_rate"):
             resample(tone_16k, 0)
+
+    @pytest.mark.parametrize("source, target, message", [
+        (13, 16000, "sample rate 13 Hz"), (999, 16000, "sample rate 999 Hz"),
+        (768001, 16000, "sample rate 768001 Hz"), (16000, 999, "target_rate 999 Hz"),
+        (16000, 768001, "target_rate 768001 Hz"),
+    ])
+    def test_rates_outside_the_range_are_refused(self, source, target, message):
+        with pytest.raises(ValueError, match=rf"^{message} outside \[1000, 768000\] Hz$"):
+            resample(Waveform(np.zeros(3), source), target)
+
+    @pytest.mark.parametrize("rate", [8000, 11025, 22050, 44056, 44100, 47952, 48000,
+                                      88200, 96000, 192000, 384000, 768000])
+    def test_standard_rates_keep_their_exact_ratio(self, monkeypatch, rate):
+        g = math.gcd(rate, 16000)
+        assert _resample_pair(monkeypatch, rate) == (16000 // g, rate // g)
+
+    def test_every_rate_to_16k_has_small_tiles(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        rates = [1000, 1001, 44099, 757992] + [int(r) for r in rng.integers(1000, 768001, 24)]
+        for rate in rates:
+            up, down = _resample_pair(monkeypatch, rate)
+            assert up <= audio_io.MAX_PHASES
+            assert abs(16000 * down / (rate * up) - 1) <= 251e-6
+            _, _, tiles = audio_io._tiles(up, down)
+            assert sum(h.nbytes for *_, h in tiles) <= 7 * MB, rate
 
     def test_output_bounded(self):
         rng = np.random.default_rng(3)
@@ -324,7 +364,7 @@ class TestResampleSequence:
     @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 128, 129])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_resample_oracle_bytes(self, up, down, n_rows, dtype):
-        _, row, _ = audio_io._tile_cache.get(up, down)
+        _, row, _ = audio_io._tiles(up, down)
         n = n_rows * row * down // up
         n_out = -(-n * up // down)
         assert -(-n_out // row) == n_rows
@@ -340,20 +380,23 @@ class TestResampleSequence:
             assert y.dtype == np.float64 and np.array_equal(y, x)
             assert not np.shares_memory(y, x)
 
-    def test_tile_cache_is_bounded_by_bytes(self, monkeypatch):
-        # every rate coprime with 16000 reduces to up = 16000 and 10-18 MB of
-        # tiles; an entry-count cap let 64 such pairs pin over 1 GB
-        cache = audio_io._TileCache(audio_io.TILE_CACHE_BYTES)
-        monkeypatch.setattr(audio_io, "_tile_cache", cache)
+    def test_tile_cache_keeps_eight_pairs(self):
+        # no pair that resample to 16 kHz builds exceeds 7 MiB, so eight
+        # pairs stay inside the 64 MiB the byte-counting cache allowed
+        assert audio_io._tiles.cache_info().maxsize * 7 * MB <= 64 * MB
+        audio_io._tiles.cache_clear()
         x = np.random.default_rng(0).uniform(-1.0, 1.0, 50)
-        first = resample_sequence(x, 16000, 44099)
-        for rate in (44101, 48001, 44099, 22049, 8001):
-            resample_sequence(x, 16000, rate)
-            assert cache.nbytes <= audio_io.TILE_CACHE_BYTES
-            assert (16000, rate) in cache
-        # 44101 was the least recently used pair when 22049 overflowed the cap
-        assert (16000, 44101) not in cache and (16000, 44099) in cache
-        assert np.array_equal(resample_sequence(x, 16000, 44099), first)
+        first = resample_sequence(x, 160, 441)
+        for down in range(3, 21, 2):  # nine more pairs push (160, 441) out
+            resample_sequence(x, 2, down)
+        assert audio_io._tiles.cache_info().currsize == 8
+        misses = audio_io._tiles.cache_info().misses
+        assert np.array_equal(resample_sequence(x, 160, 441), first)
+        assert audio_io._tiles.cache_info().misses == misses + 1
+
+    def test_cached_tiles_are_read_only(self):
+        _, _, tiles = audio_io._tiles(160, 441)
+        assert not any(h.flags.writeable for *_, h in tiles)
 
 
 def _traced_peak(call):

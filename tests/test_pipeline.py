@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import struct
+import time
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +256,25 @@ class TestRunBatch:
         assert entry_id == "nan" and "non-finite samples" in reason
         assert not (tmp_path / "out" / "nan_S1.wav").exists()
 
+    def test_hostile_sample_rates_fail_per_file_and_fast(self, tmp_path):
+        # a declared rate once set the resampler's cost: 13 Hz took 1 s and
+        # 20 MHz 2.3 s for 3 frames, and 2**32 - 1 Hz asked for ~34 GB
+        entries = _write_manifest(tmp_path, count=2, seconds=0.3)
+        expected = []
+        for rate in (13, 999, 768001, 20_000_003, 4_294_967_295):
+            data = bytearray(build_wav_bytes(1, 1, 16000, 16, b"\x01\x00" * 3))
+            data[24:28] = struct.pack("<I", rate)  # the fmt chunk's sample rate
+            path = tmp_path / f"r{rate}.wav"
+            path.write_bytes(data)
+            entries.insert(1, ManifestEntry(id=f"r{rate}", audio=str(path)))
+            reason = f"{path}: sample rate {rate} Hz outside [1000, 768000] Hz"
+            expected.append((f"r{rate}", reason))
+        t0 = time.perf_counter()
+        result = run_batch(entries, ("S1",), 1, 0, tmp_path / "out")
+        assert time.perf_counter() - t0 < 1.0
+        assert [r.source_id for r in result.records] == ["utt0", "utt1"]
+        assert sorted(result.failures) == sorted(expected)
+
     def test_empty_clip_is_one_failure(self, tmp_path):
         entries = _write_manifest(tmp_path, count=1)
         empty = tmp_path / "empty.wav"
@@ -357,6 +379,18 @@ def test_entry_built_in_code_checks_its_string_fields(cls, field, value, kind):
     kwargs[field] = value
     with pytest.raises(ValueError, match=rf"^field '{field}' must be a string, got {kind}$"):
         cls(**kwargs)
+
+
+def test_entry_names_a_non_json_value_by_its_python_type():
+    kind = type(Path()).__name__
+    with pytest.raises(ValueError, match=rf"^field 'audio' must be a string, got {kind}$"):
+        ManifestEntry(id="u", audio=Path("a.wav"))
+
+
+@pytest.mark.parametrize("severity, r1, r2", [("S1", 9.0, "x"), ("S9", None, 0.4)])
+def test_record_factors_must_be_the_severity_preset(severity, r1, r2):
+    with pytest.raises(ValueError, match=r"^record 'a_S1': \(r1, r2\) = .* is not the preset"):
+        AugmentRecord(id="a_S1", audio="a.wav", source_id="a", severity=severity, r1=r1, r2=r2)
 
 
 @pytest.mark.parametrize("kwargs, message", [({"audio": "a.wav"}, "id must be non-empty"),
