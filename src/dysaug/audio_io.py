@@ -263,6 +263,9 @@ def _tiles(up: int, down: int) -> tuple:
 def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
     """Polyphase resampling of a 1-D signal by the rational factor up/down.
 
+    After reduction by their gcd, up may be at most MAX_PHASES and down / up
+    at most 768, the widest ratio of two rates in RATE_RANGE; any other pair
+    raises ValueError before anything is allocated.
     Output length is ceil(len(x) * up / down); the result is aligned so that
     output sample j sits at input time j * down / up (no group delay), and
     it is a new float64 array.
@@ -277,6 +280,14 @@ def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
     g = gcd(up, down)
     up //= g
     down //= g
+    # the tiles grow with up and the input block with down; no pair that
+    # `resample` or `perturb_speed` builds is outside these bounds
+    lo, hi = RATE_RANGE
+    if up > MAX_PHASES or down > up * (hi // lo):
+        raise ValueError(
+            f"resampling factors {up}/{down} exceed the bound of {MAX_PHASES} "
+            f"output phases and a down/up ratio of {hi // lo}"
+        )
     x = np.asarray(x)
     if up == down or len(x) == 0:
         return x.astype(np.float64)

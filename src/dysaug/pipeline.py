@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -302,6 +301,9 @@ def run_batch(manifest, severities, replication: int, seed: int, out_dir,
     ]
     result = BatchResult()
     if jobs > 1:
+        # imported here so that commands without a pool never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_augment_entry, *zip(*tasks), chunksize=8))
     else:

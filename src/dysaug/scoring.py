@@ -3,9 +3,13 @@
 Alignment is a bit-parallel Levenshtein DP (Myers 1999, in Hyyrö's 2004
 global form, with a backtrace): each hypothesis token updates a whole
 column of the cost table in a few integer operations, whatever the
-reference length.  It uses unit costs with a fixed backtrace preference
-(hit > substitute > delete > insert) so that error decompositions and
-confusion counts are identical across runs and platforms.
+reference length.  Every step keeps its ints non-negative (XOR with the
+row mask stands in for bitwise NOT), which CPython handles faster.  It
+uses unit costs with a fixed backtrace preference (hit > substitute >
+delete > insert) so that error decompositions and confusion counts are
+identical across runs and platforms.  A pair of equal tokens always
+leaves the cost unchanged on the diagonal, so the backtrace takes it as a
+hit without reading the bit columns; only the other moves read them.
 """
 
 from __future__ import annotations
@@ -67,8 +71,9 @@ def align(ref, hyp) -> Alignment:
     """Minimum-edit alignment of two token sequences under unit costs.
 
     Tokens must be hashable: two tokens match when they are equal as dict
-    keys.  Ties during backtrace prefer hit, then substitute, then delete,
-    then insert.
+    keys, that is the same object or equal under == (so a NaN matches only
+    itself, and 1 matches 1.0).  Ties during backtrace prefer hit, then
+    substitute, then delete, then insert.
     """
     # peq[t] has bit i-1 set where ref[i-1] matches t
     peq: dict = {}
@@ -80,16 +85,18 @@ def align(ref, hyp) -> Alignment:
     # Column j of the cost table d, one bit per row (Myers 1999, in Hyyrö's
     # 2004 global form): bit i-1 of vp/vn is set where d[i][j] - d[i-1][j]
     # is +1/-1, bit i of hp/hn where d[i][j] - d[i][j-1] is; the top row's
-    # +1 is shifted into bit 0 of hp.
+    # +1 is shifted into bit 0 of hp.  mask ^ y equals ~y on the bits below
+    # mask, the only ones read, and stays a non-negative int, whose bitwise
+    # ops are cheaper; no step carries bits above mask down into them.
     vp, vn = mask, 0
     cols = [None]
     for tok in hyp:
         eq = peq.get(tok, 0)
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = (vn | ~(xh | vp)) << 1 | 1
+        hp = (vn | mask ^ (xh | vp)) << 1 | 1
         hn = (vp & xh) << 1
-        vp = (hn | ~(xv | hp)) & mask
+        vp = (hn | mask ^ (xv | hp)) & mask
         vn = hp & xv
         cols.append((vp, vn, hp, hn))
 
@@ -97,27 +104,30 @@ def align(ref, hyp) -> Alignment:
     cur = distance = j + vp.bit_count() - vn.bit_count()  # d[m][n]
     ops: list[tuple[str, object, object]] = []
     while i and j:
+        r = ref[i - 1]
+        h = hyp[j - 1]
+        if r is h or r == h:
+            # tokens equal as dict keys force d[i][j] == d[i-1][j-1], so a
+            # hit is taken without reading the columns
+            ops.append((HIT, r, h))
+            i -= 1
+            j -= 1
+            continue
         vp, vn, hp, hn = cols[j]
         b = 1 << (i - 1)
         up = cur - 1 if vp & b else cur + 1 if vn & b else cur  # d[i-1][j]
         diag = up - 1 if hp & b else up + 1 if hn & b else up  # d[i-1][j-1]
-        if diag == cur and peq.get(hyp[j - 1], 0) & b:
-            ops.append((HIT, ref[i - 1], hyp[j - 1]))
+        if diag + 1 == cur:
+            ops.append((SUBSTITUTE, r, h))
             i -= 1
             j -= 1
-        elif diag + 1 == cur:
-            ops.append((SUBSTITUTE, ref[i - 1], hyp[j - 1]))
-            i -= 1
-            j -= 1
-            cur -= 1
         elif up + 1 == cur:
-            ops.append((DELETE, ref[i - 1], None))
+            ops.append((DELETE, r, None))
             i -= 1
-            cur -= 1
         else:  # the only move left, so d[i][j-1] == cur - 1
-            ops.append((INSERT, None, hyp[j - 1]))
+            ops.append((INSERT, None, h))
             j -= 1
-            cur -= 1
+        cur -= 1
     while i:
         i -= 1
         ops.append((DELETE, ref[i], None))

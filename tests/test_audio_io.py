@@ -380,6 +380,26 @@ class TestResampleSequence:
             assert y.dtype == np.float64 and np.array_equal(y, x)
             assert not np.shares_memory(y, x)
 
+    @pytest.mark.parametrize("up, down", [(16000, 44099), (1, 2**32 + 1), (2001, 2002),
+                                          (1, 769), (32000, 88198)])
+    def test_pairs_beyond_the_bound_are_refused(self, up, down):
+        x = np.zeros(1000)
+        g = math.gcd(up, down)
+
+        def call():
+            with pytest.raises(ValueError, match=rf"^resampling factors {up // g}/{down // g} "
+                                                 r"exceed the bound of 2000 output phases "
+                                                 r"and a down/up ratio of 768$"):
+                resample_sequence(x, up, down)
+
+        _, peak = _traced_peak(call)
+        assert peak <= MB
+
+    @pytest.mark.parametrize("up, down", [(1, 768), (2000, 2001)])
+    def test_pairs_on_the_bound_are_resampled(self, up, down):
+        y = resample_sequence(np.ones(4000), up, down)
+        assert len(y) == -(-4000 * up // down)
+
     def test_tile_cache_keeps_eight_pairs(self):
         # no pair that resample to 16 kHz builds exceeds 7 MiB, so eight
         # pairs stay inside the 64 MiB the byte-counting cache allowed

@@ -321,6 +321,14 @@ class TestUsage:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_cli_import_loads_no_process_pool(self):
+        # only `batch --jobs N` with N > 1 needs the pool
+        code = ("import sys, dysaug.cli; print([m for m in sys.modules "
+                "if m in ('concurrent.futures.process', 'multiprocessing')])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_global_seed_before_subcommand(self, tmp_path):
         manifest = TestBatch()._manifest(tmp_path, count=1)
         proc = run_cli("--seed", "3", "--quiet", "batch", "--manifest", str(manifest),

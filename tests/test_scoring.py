@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from dysaug import align, build_confusion, normalize_arabic, score
+from dysaug import align, build_confusion, normalize_arabic, score, scoring
 from dysaug.scoring import DELETE, HIT, INSERT, SUBSTITUTE
 
 
@@ -63,6 +63,45 @@ class TestAlign:
             ops = align(ref, hyp).ops
             assert "".join(r for k, r, _ in ops if k in (HIT, SUBSTITUTE, DELETE)) == ref
             assert "".join(h for k, _, h in ops if k in (HIT, SUBSTITUTE, INSERT)) == hyp
+
+    # tokens match as dict keys do: the same object, or equal under ==.  List
+    # equality compares NaNs by identity, so each op must hold the right NaN
+    def test_a_nan_token_matches_only_itself(self):
+        nan, other = float("nan"), float("nan")
+        assert align([nan, "a"], [nan, "a"]).ops == [(HIT, nan, nan), (HIT, "a", "a")]
+        assert align([nan], [other]).ops == [(SUBSTITUTE, nan, other)]
+        a = align(["x", nan], [other, nan, "x"])
+        assert a.distance == 2
+        assert a.ops == [(SUBSTITUTE, "x", other), (HIT, nan, nan), (INSERT, None, "x")]
+
+    def test_numbers_equal_under_eq_match(self):
+        a = align([1, 2, "a"], [1.0, "a", True])
+        assert a.ops == [(HIT, 1, 1.0), (SUBSTITUTE, 2, "a"), (SUBSTITUTE, "a", True)]
+        assert [type(h) for _, _, h in a.ops] == [float, str, bool]
+        a = align([True, 1.0], [1])
+        assert a.ops == [(DELETE, True, None), (HIT, 1.0, 1)]
+        assert [type(r) for _, r, _ in a.ops] == [bool, float]
+
+
+def test_score_and_build_confusion_call_scoring_align_once_per_pair(monkeypatch):
+    # both look align up in the module at call time, so a wrapper installed
+    # there sees every alignment
+    calls = []
+    real = scoring.align
+
+    def counting(ref, hyp):
+        calls.append((ref, hyp))
+        return real(ref, hyp)
+
+    monkeypatch.setattr(scoring, "align", counting)
+    pairs = [("the cat sat", "the hat sat"), ("a b", "a b c"), ("xyz", "")]
+    for unit in ("word", "char"):
+        calls.clear()
+        score(pairs, unit=unit)
+        assert len(calls) == len(pairs)
+    calls.clear()
+    build_confusion(pairs)
+    assert calls == [("the cat sat", "the hat sat"), ("a b", "a b c"), ("xyz", "")]
 
 
 class TestScore:
