@@ -70,7 +70,8 @@ class Waveform:
     """Mono audio: float32 amplitudes in [-1, 1] plus a sample rate in Hz.
 
     Building one copies the samples into a new float32 array, never a view of
-    the caller's, and clips them there.
+    the caller's, and clips them there; only `read_wav`, which holds the
+    sole reference to the array it decoded, skips the copy.
     The fields cannot be reassigned and the samples are read-only, so they
     keep the constructor's checks.
     """
@@ -79,7 +80,25 @@ class Waveform:
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.float32)  # always a fresh copy
+        self._seal(np.array(self.samples, dtype=np.float32))  # always a fresh copy
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray, sample_rate: int) -> Waveform:
+        """A waveform on `samples` itself, without the constructor's copy.
+
+        `samples` must be a float32 array that owns its memory and that no
+        other code holds: the checks and the clip run on it in place, and
+        it becomes read-only.
+        """
+        if samples.dtype != np.float32 or samples.base is not None or not samples.flags.writeable:
+            raise TypeError("_adopt takes a writable float32 array that owns its memory")
+        wave = object.__new__(cls)
+        object.__setattr__(wave, "sample_rate", sample_rate)
+        wave._seal(samples)
+        return wave
+
+    def _seal(self, samples: np.ndarray) -> None:
+        """Check and clip a fresh float32 array, freeze it and store it."""
         if samples.ndim != 1:
             raise ValueError(f"waveform samples must be 1-D, got shape {samples.shape}")
         # NaN/Inf would reach write_wav's int16 cast, whose result is platform-defined;
@@ -183,14 +202,16 @@ def read_wav(path) -> Waveform:
         mixed /= channels
         if dtype.kind == "i":
             mixed *= PCM16_READ_SCALE
-        frames = mixed
+        frames = mixed.astype(np.float32, copy=False)
     elif dtype.kind == "i":
         # every int16 and the power-of-two scale are exact in float32, so
         # this gives the float64 product's values with no float64 copy
         frames = frames.astype(np.float32)
         frames *= np.float32(PCM16_READ_SCALE)
+    else:
+        frames = frames.astype(np.float32)  # off the file's read-only bytes
     try:
-        return Waveform(frames, rate)
+        return Waveform._adopt(frames, rate)
     except ValueError as exc:
         raise WavFormatError(f"{path}: {exc}") from None
 
@@ -201,13 +222,16 @@ def write_wav(waveform: Waveform, path) -> None:
     Each sample a becomes rint(32768 * a) clamped to +-32767.  The product
     is formed in float32, where it is exact for |a| <= 1, so the integers
     are those of the float64 formula; the int16 array goes to the file as
-    it is, without a bytes copy.
+    it is, without a bytes copy.  A path that cannot be opened raises its
+    OSError before any wave writer exists.
     """
     pcm = waveform.samples * np.float32(PCM16_FULL_SCALE)
     np.rint(pcm, out=pcm)
     np.clip(pcm, -PCM16_PEAK, PCM16_PEAK, out=pcm)
     pcm = pcm.astype(np.int16)  # native order: wave swaps it on big-endian hosts
-    with wave.open(str(path), "wb") as out:
+    # a writer that wave.open builds around a path it fails to open reports
+    # an AttributeError from its __del__ as an unraisable exception
+    with open(path, "wb") as fout, wave.open(fout, "wb") as out:
         out.setnchannels(1)
         out.setsampwidth(2)
         out.setframerate(waveform.sample_rate)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 import re
@@ -213,6 +214,20 @@ class TestWriteWav:
             assert fin.getsampwidth() == 2
             assert fin.getframerate() == 16000
             assert np.frombuffer(fin.readframes(1), dtype="<i2")[0] == 0
+
+    def test_unopenable_path_raises_without_an_unraisable_error(self, tmp_path, monkeypatch):
+        # wave.open(path) once left a half-built writer whose __del__ failed
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        try:
+            write_wav(Waveform(np.zeros(8), 16000), tmp_path / "nodir" / "x.wav")
+        except FileNotFoundError:
+            pass
+        else:
+            pytest.fail("write_wav wrote into a missing directory")
+        gc.collect()
+        assert [str(u.exc_value) for u in unraisable] == []
+        assert not (tmp_path / "nodir").exists()
 
     def test_full_scale_symmetry(self, tmp_path):
         path = tmp_path / "fs.wav"
@@ -443,14 +458,15 @@ class TestSignalPathMemory:
         y, peak = _traced_peak(lambda: resample_sequence(x, 160, 441))
         assert peak <= y.nbytes + MB
 
-    def test_read_wav_allocates_file_and_eight_bytes_a_sample(self, tmp_path):
+    def test_read_wav_allocates_file_and_four_bytes_a_sample(self, tmp_path):
+        # the decoded float32 array becomes the waveform's samples uncopied
         n = 12 * 44100
         path = tmp_path / "mono.wav"
         write_pcm16_file(path, np.random.default_rng(3).integers(-32768, 32768, n), rate=44100)
         read_wav(path)
         w, peak = _traced_peak(lambda: read_wav(path))
         assert len(w) == n
-        assert peak <= path.stat().st_size + 8 * n + MB
+        assert peak <= path.stat().st_size + 4 * n + MB
 
     def test_write_wav_allocates_six_bytes_a_sample(self, tmp_path):
         n = 12 * 16000
@@ -587,6 +603,27 @@ def test_waveform_samples_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         w.samples[1] = np.nan
     assert np.isfinite(w.samples).all()
+
+
+@pytest.mark.parametrize("writer, samples", [(write_pcm16_file, [0, 1, 2, -3]),
+                                             (write_float32_file, [0.5, 1.5, -2.0, 0.25])])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_read_wav_samples_are_read_only(tmp_path, writer, samples, channels):
+    # read_wav hands its decoded array to the waveform without the copy
+    path = tmp_path / "r.wav"
+    writer(path, samples * channels, channels=channels)
+    w = read_wav(path)
+    assert w.samples.dtype == np.float32
+    assert w.samples.max() <= 1.0 and w.samples.min() >= -1.0
+    with pytest.raises(ValueError, match="read-only"):
+        w.samples[0] = np.nan
+
+
+def test_adopt_refuses_an_array_it_cannot_own():
+    with pytest.raises(TypeError):
+        Waveform._adopt(np.zeros(4), 16000)  # float64
+    with pytest.raises(TypeError):
+        Waveform._adopt(np.zeros(8, dtype=np.float32)[::2], 16000)  # a view
 
 
 @pytest.mark.parametrize("channels", range(1, 11))

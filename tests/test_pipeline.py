@@ -295,6 +295,57 @@ class TestRunBatch:
             with open(a.audio, "rb") as fa, open(b.audio, "rb") as fb:
                 assert fa.read() == fb.read()
 
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_parallel_over_many_chunks_matches_serial(self, tmp_path, jobs):
+        # 11 entries make chunks of 2 at jobs=2 and of 1 at jobs=3
+        entries = _write_manifest(tmp_path, count=10, seconds=0.3)
+        entries.insert(5, ManifestEntry(id="gone", audio=str(tmp_path / "gone.wav")))
+        serial = run_batch(entries, SEVERITIES, 2, 3, tmp_path / "s", jobs=1)
+        parallel = run_batch(entries, SEVERITIES, 2, 3, tmp_path / "p", jobs=jobs)
+        assert len(serial.records) == 20
+        assert [(a.id, a.severity) for a in serial.records] == [
+            (b.id, b.severity) for b in parallel.records
+        ]
+        assert [entry_id for entry_id, _ in parallel.failures] == ["gone"]
+        assert parallel.failures == serial.failures
+        for a, b in zip(serial.records, parallel.records):
+            assert Path(a.audio).read_bytes() == Path(b.audio).read_bytes()
+
+    @pytest.mark.parametrize("count, jobs, pool", [
+        (1, 4, None),  # one chunk runs in this process
+        (3, 8, (3, 1)),  # one worker per chunk, not one per job
+        (11, 3, (3, 1)),
+        (20, 2, (2, 3)),  # chunks of 3 (the last of 2), not of 8, 8 and 4
+        (100, 2, (2, 13)),
+    ])
+    def test_pool_is_sized_from_the_manifest(self, tmp_path, monkeypatch, count, jobs, pool):
+        import concurrent.futures
+
+        made = []
+
+        class InlinePool:
+            """Records how run_batch sizes its pool and maps in this process."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                made.append((self.max_workers, chunksize))
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        entries = [ManifestEntry(id=f"u{i}", audio=str(tmp_path / f"u{i}.wav"))
+                   for i in range(count)]
+        result = run_batch(entries, ("S1",), 1, 0, tmp_path / "out", jobs=jobs)
+        assert made == ([] if pool is None else [pool])
+        assert [entry_id for entry_id, _ in result.failures] == [e.id for e in entries]
+
     def test_single_draw(self, tmp_path):
         entries = _write_manifest(tmp_path, count=1)
         result = run_batch(entries, ("S1",), 1, 0, tmp_path / "out")
