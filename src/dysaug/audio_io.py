@@ -238,6 +238,18 @@ def write_wav(waveform: Waveform, path) -> None:
         out.writeframes(pcm)
 
 
+@lru_cache(maxsize=64)
+def _up_down(num, den, max_up: int) -> tuple[int, int]:
+    """(up, down) with down / up the nearest fraction to num / den whose
+    denominator is at most max_up.
+
+    Resampling by up/down maps num / den input samples to one output; the
+    same few ratios recur on every clip, so they are reduced once.
+    """
+    ratio = (Fraction(num) / Fraction(den)).limit_denominator(max_up)
+    return ratio.denominator, ratio.numerator
+
+
 # BLAS calls take at most TILE_ROWS rows and TILE_VALUES filter values, so
 # m*n*k stays under OpenBLAS's 2**18 threshold for using threads: the bytes do
 # not depend on the BLAS thread count, and batch workers start no threads
@@ -354,6 +366,6 @@ def resample(waveform: Waveform, target_rate: int) -> Waveform:
             raise ValueError(f"{name} {rate} Hz outside [{lo}, {hi}] Hz")
     if target_rate == waveform.sample_rate:
         return waveform
-    ratio = Fraction(waveform.sample_rate, target_rate).limit_denominator(MAX_PHASES)
-    y = resample_sequence(waveform.samples, ratio.denominator, ratio.numerator)
+    up, down = _up_down(waveform.sample_rate, target_rate, MAX_PHASES)
+    y = resample_sequence(waveform.samples, up, down)
     return Waveform(y, target_rate)

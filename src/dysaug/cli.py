@@ -19,7 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-from .correction import correct_sentence, load_dictionary
 from .pipeline import (
     SEVERITIES,
     PerturbationParams,
@@ -109,7 +108,7 @@ def _perturb_params(parser: argparse.ArgumentParser, args) -> PerturbationParams
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fin:
+    with open(path, encoding="utf-8-sig") as fin:
         return [line.rstrip("\n") for line in fin]
 
 
@@ -154,6 +153,9 @@ def _cmd_confusion(parser, args) -> int:
 
 
 def _cmd_correct(parser, args) -> int:
+    # imported here so that `score` never loads numpy
+    from .correction import correct_sentence, load_dictionary
+
     dictionary = load_dictionary(args.dict_path)
     matrix = ConfusionMatrix.load(args.confusion) if args.confusion else None
     lines = _read_lines(args.in_path)

@@ -74,7 +74,7 @@ def load_dictionary(path) -> Dictionary:
     Duplicate lines are merged by summing their counts.
     """
     freq: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fin:
+    with open(path, encoding="utf-8-sig") as fin:
         for lineno, line in enumerate(fin, 1):
             line = line.strip()
             if not line:

@@ -3,6 +3,11 @@
 Manifests are UTF-8 JSON Lines, one utterance per line.  Input entries
 carry id/audio/text/speaker/gender; augmented records add the source id,
 the severity label, and the (r1, r2) factors actually applied.
+
+The signal kernels (and numpy) are imported where a clip or a factor pair
+first needs them, so reading and writing manifests loads neither.
+`_check_plan` builds every severity's PerturbationParams, so a batch has
+loaded them before any pool worker forks.
 """
 
 from __future__ import annotations
@@ -11,11 +16,12 @@ import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .audio_io import Waveform, read_wav, resample, write_wav
-from .speed import _check_factor as _check_speed
-from .tempo import _check_factor as _check_tempo, pertubate_signal
+if TYPE_CHECKING:
+    from .audio_io import Waveform
 
 __all__ = [
     "SEVERITIES",
@@ -57,10 +63,16 @@ class PerturbationParams:
     severity: str | None = None
 
     def __post_init__(self):
+        from .speed import _check_factor as _check_speed
+        from .tempo import _check_factor as _check_tempo
+
         _check_speed(self.speed)
         _check_tempo(self.tempo)
 
 
+# the params are frozen, so one per label is shared; the cache also keeps the
+# per-call kernel imports of PerturbationParams off the per-clip path
+@cache
 def params_for(severity: str) -> PerturbationParams:
     """Look up the preset factors for a severity label S1..S4."""
     try:
@@ -145,7 +157,7 @@ def read_manifest(path) -> list[ManifestEntry]:
     """
     entries = []
     seen = set()
-    with open(path, encoding="utf-8") as fin:
+    with open(path, encoding="utf-8-sig") as fin:
         for lineno, line in enumerate(fin, 1):
             line = line.strip()
             if not line:
@@ -237,6 +249,8 @@ class BatchResult:
 
 
 def _load_clip(path) -> Waveform:
+    from .audio_io import read_wav, resample
+
     wave = read_wav(path)
     # an empty clip fails every severity alike, so it is one failure
     if len(wave) == 0:
@@ -245,6 +259,9 @@ def _load_clip(path) -> Waveform:
 
 
 def _write_perturbed(wave: Waveform, params: PerturbationParams, out_path: str) -> Waveform:
+    from .audio_io import write_wav
+    from .tempo import pertubate_signal
+
     out = pertubate_signal(wave, params)
     write_wav(out, out_path)
     return out

@@ -10,6 +10,9 @@ delete > insert) so that error decompositions and confusion counts are
 identical across runs and platforms.  A pair of equal tokens always
 leaves the cost unchanged on the diagonal, so the backtrace takes it as a
 hit without reading the bit columns; only the other moves read them.
+
+Alignment and scoring are pure Python; numpy is imported only by
+`ConfusionMatrix` and `build_confusion`, so `score` never loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HIT",
@@ -223,6 +228,8 @@ class ConfusionMatrix:
     _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        import numpy as np
+
         p = np.array(self.probabilities, dtype=np.float64)
         p.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
@@ -256,12 +263,16 @@ class ConfusionMatrix:
 
     def row(self, truth: str):
         """Nonzero (symbol, probability) entries of one row."""
+        import numpy as np
+
         values = self.probabilities[self._index[truth]]
         return tuple((self.symbols[j], float(values[j])) for j in np.nonzero(values)[0])
 
     @classmethod
     def identity(cls, alphabet) -> "ConfusionMatrix":
         """No-confusion matrix over the given characters."""
+        import numpy as np
+
         symbols = ("",) + tuple(sorted(set(alphabet) - {""}))
         return cls(symbols=symbols, probabilities=np.eye(len(symbols)))
 
@@ -271,6 +282,8 @@ class ConfusionMatrix:
     @classmethod
     def from_dict(cls, obj: dict) -> "ConfusionMatrix":
         """Inverse of `to_dict`; ValueError if `obj` does not have its shape."""
+        import numpy as np
+
         if not isinstance(obj, dict):
             raise ValueError(f"confusion matrix must be a JSON object, got {type(obj).__name__}")
         alphabet = obj.get("alphabet")
@@ -292,7 +305,7 @@ class ConfusionMatrix:
     @classmethod
     def load(cls, path) -> "ConfusionMatrix":
         """Read a `save`d matrix; a malformed file raises ValueError naming `path`."""
-        with open(path, encoding="utf-8") as fin:
+        with open(path, encoding="utf-8-sig") as fin:
             try:
                 return cls.from_dict(json.load(fin))
             except ValueError as exc:
@@ -315,12 +328,16 @@ def build_confusion(pairs, smoothing: float = 0.5,
     if smoothing <= 0:
         raise ValueError(f"smoothing must be positive to keep rows stochastic, got {smoothing}")
 
+    import numpy as np
+
+    # whole (kind, ref char, hyp char) ops are counted in C, then folded into
     # (ref char, hyp char) counts; "" stands for the missing side of an indel
-    counts: Counter[tuple[str, str]] = Counter()
+    ops: Counter[tuple[str, object, object]] = Counter()
     for _, alignment in _alignments(pairs, "char", arabic_normalization):
-        counts.update(
-            (ref_char or "", hyp_char or "") for _, ref_char, hyp_char in alignment.ops
-        )
+        ops.update(alignment.ops)
+    counts: Counter[tuple[str, str]] = Counter()
+    for (_, ref_char, hyp_char), c in ops.items():
+        counts[ref_char or "", hyp_char or ""] += c
 
     symbols = ("",) + tuple(sorted({c for pair in counts for c in pair} - {""}))
     index = {s: i for i, s in enumerate(symbols)}

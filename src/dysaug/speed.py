@@ -9,9 +9,7 @@ rate fixed, i.e. the classic sox "speed" effect.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .audio_io import Waveform, resample_sequence
+from .audio_io import Waveform, _up_down, resample_sequence
 
 __all__ = ["SPEED_FACTOR_RANGE", "MIN_OUTPUT_SAMPLES", "perturb_speed"]
 
@@ -39,8 +37,7 @@ def perturb_speed(waveform: Waveform, factor: float) -> Waveform:
     if len(waveform) == 0:
         raise ValueError("cannot speed-perturb an empty waveform")
 
-    ratio = Fraction(factor).limit_denominator(1000)
-    up, down = ratio.denominator, ratio.numerator
+    up, down = _up_down(factor, 1, 1000)
     n_out = -(-len(waveform) * up // down)
     if n_out < MIN_OUTPUT_SAMPLES:
         raise ValueError(

@@ -234,6 +234,15 @@ class TestScoreCommand:
         assert values[0] == "1"  # one substitution
         assert values[-1] == "0.333"
 
+    def test_utf8_bom_is_not_part_of_the_first_token(self, tmp_path):
+        refs = tmp_path / "r.txt"
+        hyps = tmp_path / "h.txt"
+        refs.write_text("the cat sat on mat\n", encoding="utf-8-sig")
+        hyps.write_text("the cat sat on mat\n", encoding="utf-8")
+        proc = run_cli("score", "--refs", str(refs), "--hyps", str(hyps))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0\t0\t0\t0.000"
+
     def test_misaligned_files_exit_1(self, tmp_path):
         refs = tmp_path / "r.txt"
         hyps = tmp_path / "h.txt"
@@ -328,6 +337,25 @@ class TestUsage:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_text_paths_load_no_numpy(self, tmp_path):
+        # align, score and manifest reading are pure Python, so the package
+        # and the score command must not pay for numpy's import
+        refs = tmp_path / "r.txt"
+        refs.write_text("a b c\nd e\n", encoding="utf-8")
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"id": "u1", "audio": "a.wav"}\n', encoding="utf-8")
+        code = (
+            "import sys, dysaug, dysaug.cli\n"
+            "dysaug.score([('a b c', 'a x c')])\n"
+            "dysaug.align('abc', 'axc')\n"
+            f"dysaug.read_manifest({str(manifest)!r})\n"
+            f"assert dysaug.cli.main(['score', '--refs', {str(refs)!r}, '--hyps', {str(refs)!r}]) == 0\n"
+            "print([m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_global_seed_before_subcommand(self, tmp_path):
         manifest = TestBatch()._manifest(tmp_path, count=1)

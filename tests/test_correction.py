@@ -268,6 +268,13 @@ class TestDictionaryFile:
         assert d.frequency("cat") == 8
         assert d.frequency("dog") == 0
 
+    def test_utf8_bom_is_not_part_of_the_first_word(self, tmp_path):
+        path = tmp_path / "dict.txt"
+        path.write_text("cat\t5\ndog\n", encoding="utf-8-sig")
+        d = load_dictionary(path)
+        assert set(d.words) == {"cat", "dog"}
+        assert d.frequency("cat") == 5
+
     def test_bad_frequency(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("cat\tmany\n")

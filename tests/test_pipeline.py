@@ -63,6 +63,12 @@ class TestManifest:
         assert entries[1].gender == "unknown"
         assert entries[1].text == ""
 
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "u1", "audio": "a.wav"}\n{"id": "u2", "audio": "b.wav"}\n',
+                        encoding="utf-8-sig")
+        assert [e.id for e in read_manifest(path)] == ["u1", "u2"]
+
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"id": "u1", "audio": "a.wav"}\n{"id": "u1", "audio": "b.wav"}\n')

@@ -224,6 +224,16 @@ class TestBuildConfusion:
         assert back.symbols == m.symbols
         np.testing.assert_allclose(back.probabilities, m.probabilities)
 
+    def test_load_skips_a_utf8_bom(self, tmp_path):
+        from dysaug import ConfusionMatrix
+
+        m = build_confusion([("abc", "abd")])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(m.to_dict()), encoding="utf-8-sig")
+        back = ConfusionMatrix.load(path)
+        assert back.symbols == m.symbols
+        np.testing.assert_array_equal(back.probabilities, m.probabilities)
+
     def test_exact_counts_with_indels_and_arabic(self):
         # a->a hit, b->c substitution, x inserted, ب deleted; smoothing 0.5
         m = build_confusion([("ab", "ac"), ("", "x"), ("ب", "")])
