@@ -19,18 +19,9 @@ import os
 import sys
 from pathlib import Path
 
-from .pipeline import (
-    SEVERITIES,
-    PerturbationParams,
-    _check_plan,
-    _load_clip,
-    _write_perturbed,
-    params_for,
-    read_manifest,
-    run_batch,
-    write_records,
-)
-from .scoring import ConfusionMatrix, build_confusion, score
+# each command imports the modules it runs, so that `score` and `--help`
+# never load numpy
+from .manifest import SEVERITIES, _check_plan, read_manifest, write_records
 
 log = logging.getLogger("dysaug")
 
@@ -93,20 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _perturb_params(parser: argparse.ArgumentParser, args) -> PerturbationParams:
-    has_factors = args.r1 is not None or args.r2 is not None
-    if args.severity and has_factors:
-        parser.error("--severity and --r1/--r2 are mutually exclusive")
-    if args.severity:
-        return params_for(args.severity)
-    if args.r1 is None or args.r2 is None:
-        parser.error("provide either --severity or both --r1 and --r2")
-    try:
-        return PerturbationParams(speed=args.r1, tempo=args.r2)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def _read_lines(path: str) -> list[str]:
     with open(path, encoding="utf-8-sig") as fin:
         return [line.rstrip("\n") for line in fin]
@@ -123,13 +100,27 @@ def _read_aligned(refs_path: str, hyps_path: str) -> list[tuple[str, str]]:
 
 
 def _cmd_perturb(parser, args) -> int:
-    params = _perturb_params(parser, args)
+    from .pipeline import PerturbationParams, _load_clip, _write_perturbed, params_for
+
+    if args.severity and (args.r1 is not None or args.r2 is not None):
+        parser.error("--severity and --r1/--r2 are mutually exclusive")
+    if args.severity:
+        params = params_for(args.severity)
+    elif args.r1 is None or args.r2 is None:
+        parser.error("provide either --severity or both --r1 and --r2")
+    else:
+        try:
+            params = PerturbationParams(speed=args.r1, tempo=args.r2)
+        except ValueError as exc:
+            parser.error(str(exc))
     out = _write_perturbed(_load_clip(args.in_path), params, args.out_path)
     log.info("wrote %s (%d samples at %d Hz)", args.out_path, len(out), out.sample_rate)
     return 0
 
 
 def _cmd_batch(parser, args) -> int:
+    from .pipeline import run_batch
+
     labels = [s for s in map(str.strip, args.severities.split(",")) if s]
     try:
         labels = _check_plan(labels, args.replication, args.jobs)
@@ -145,6 +136,8 @@ def _cmd_batch(parser, args) -> int:
 
 
 def _cmd_confusion(parser, args) -> int:
+    from .correction import build_confusion
+
     matrix = build_confusion(_read_aligned(args.refs, args.hyps))
     matrix.save(args.out_path)
     log.info("wrote %dx%d confusion matrix to %s",
@@ -153,8 +146,7 @@ def _cmd_confusion(parser, args) -> int:
 
 
 def _cmd_correct(parser, args) -> int:
-    # imported here so that `score` never loads numpy
-    from .correction import correct_sentence, load_dictionary
+    from .correction import ConfusionMatrix, correct_sentence, load_dictionary
 
     dictionary = load_dictionary(args.dict_path)
     matrix = ConfusionMatrix.load(args.confusion) if args.confusion else None
@@ -168,6 +160,8 @@ def _cmd_correct(parser, args) -> int:
 
 
 def _cmd_score(parser, args) -> int:
+    from .scoring import score
+
     report = score(_read_aligned(args.refs, args.hyps), unit=args.unit)
     print("Sub.\tIns.\tDel.\trate")
     print(f"{report.substitutions}\t{report.insertions}\t{report.deletions}"

@@ -1,25 +1,31 @@
-"""Dictionary-based text correction with a confusion-weighted Jaccard distance.
+"""Confusion estimation and dictionary-based text correction.
 
-Each hypothesized word is replaced by the dictionary word at minimal
-distance 1 - sum(min(c_p, c_g)) / sum(max(c_p, c_g)) over per-character
-counts.  Without a confusion matrix the counts are plain character
-multiplicities; with one, every character spreads its count across the
-characters it is confusable with, so likely mix-ups shrink the distance.
+`build_confusion` turns character alignments of (ref, hyp) pairs into a
+row-stochastic `ConfusionMatrix`.  Each hypothesized word is replaced by
+the dictionary word at minimal distance
+1 - sum(min(c_p, c_g)) / sum(max(c_p, c_g)) over per-character counts.
+Without a confusion matrix the counts are plain character multiplicities;
+with one, every character spreads its count across the characters it is
+confusable with, so likely mix-ups shrink the distance.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
 
-from .scoring import ConfusionMatrix
+from . import scoring
 
 __all__ = [
+    "ConfusionMatrix",
+    "build_confusion",
     "Dictionary",
     "load_dictionary",
     "profile",
@@ -31,6 +37,146 @@ __all__ = [
 # distances this close to the minimum are ties, settled by the frequency,
 # length and lexicographic order rather than by float rounding
 _TIE_TOLERANCE = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class ConfusionMatrix:
+    """Row-stochastic character confusion estimate.
+
+    symbols[0] is the distinguished null symbol "" — its row carries
+    insertion probabilities and its column deletion probabilities.
+    probabilities[i, j] estimates P(symbol i is realized as symbol j).
+    Symbols must be distinct, entries finite and non-negative, and each row
+    must sum to 1 within 1e-9; the constructor (and so `load`) raises
+    ValueError otherwise.
+
+    The fields cannot be reassigned and `probabilities` is a read-only
+    float64 copy of the array given, so a matrix keeps its checks, and
+    caches keyed on its identity stay valid.
+    """
+
+    symbols: tuple[str, ...]
+    probabilities: np.ndarray
+    _index: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p = np.array(self.probabilities, dtype=np.float64)
+        p.flags.writeable = False
+        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "symbols", tuple(self.symbols))
+        k = len(self.symbols)
+        if p.shape != (k, k):
+            raise ValueError(f"probability matrix shape {p.shape} does not match {k} symbols")
+        if self.symbols[0] != "":
+            raise ValueError('symbols[0] must be the null symbol ""')
+        if not (np.isfinite(p).all() and (p >= 0).all()):
+            raise ValueError("probabilities must be finite and non-negative")
+        bad = np.flatnonzero(np.abs(p.sum(axis=1) - 1.0) > 1e-9)
+        if bad.size:
+            raise ValueError(
+                f"row {self.symbols[bad[0]]!r} sums to {p[bad[0]].sum()}, not 1"
+            )
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
+        if len(self._index) != k:
+            dup = next(s for s, n in Counter(self.symbols).items() if n > 1)
+            raise ValueError(f"symbol {dup!r} appears more than once")
+
+    def __reduce__(self):
+        # rebuild through the constructor, so a copy is checked and read-only too
+        return (ConfusionMatrix, (self.symbols, self.probabilities))
+
+    def __contains__(self, symbol: str) -> bool:
+        return symbol in self._index
+
+    def prob(self, truth: str, realized: str) -> float:
+        return float(self.probabilities[self._index[truth], self._index[realized]])
+
+    def row(self, truth: str):
+        """Nonzero (symbol, probability) entries of one row."""
+        values = self.probabilities[self._index[truth]]
+        return tuple((self.symbols[j], float(values[j])) for j in np.nonzero(values)[0])
+
+    @classmethod
+    def identity(cls, alphabet) -> "ConfusionMatrix":
+        """No-confusion matrix over the given characters."""
+        symbols = ("",) + tuple(sorted(set(alphabet) - {""}))
+        return cls(symbols=symbols, probabilities=np.eye(len(symbols)))
+
+    def to_dict(self) -> dict:
+        return {"alphabet": list(self.symbols), "probabilities": self.probabilities.tolist()}
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "ConfusionMatrix":
+        """Inverse of `to_dict`; ValueError if `obj` does not have its shape."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"confusion matrix must be a JSON object, got {type(obj).__name__}")
+        alphabet = obj.get("alphabet")
+        if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
+            raise ValueError("confusion matrix 'alphabet' must be a list of strings")
+        rows = obj.get("probabilities")
+        if not isinstance(rows, list):
+            raise ValueError("confusion matrix 'probabilities' must be a list of rows")
+        # numpy would read "1" and true as 1.0, so each entry must be a JSON number
+        if not all(isinstance(row, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)
+                for row in rows):
+            raise ValueError("confusion matrix 'probabilities' must be rows of numbers")
+        try:
+            probabilities = np.array(rows, dtype=np.float64)
+        except (OverflowError, ValueError):  # ragged rows, or an int beyond float64
+            raise ValueError(
+                "confusion matrix 'probabilities' rows must be of equal length, "
+                "with every entry within float64 range"
+            ) from None
+        return cls(symbols=tuple(alphabet), probabilities=probabilities)
+
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fout:
+            json.dump(self.to_dict(), fout, ensure_ascii=False)
+
+    @classmethod
+    def load(cls, path) -> "ConfusionMatrix":
+        """Read a `save`d matrix; a malformed file raises ValueError naming `path`."""
+        with open(path, encoding="utf-8-sig") as fin:
+            try:
+                return cls.from_dict(json.load(fin))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+
+
+def build_confusion(pairs, smoothing: float = 0.5,
+                    arabic_normalization: bool = False) -> ConfusionMatrix:
+    """Estimate a character confusion matrix from (ref, hyp) pairs.
+
+    Character-level alignments are accumulated into counts: hits and
+    substitutions go to count[ref_char][hyp_char], deletions to the null
+    column, insertions to the null row.  Rows are normalized with additive
+    smoothing over the observed alphabet, so every row is a distribution
+    even for characters never seen as reference.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("cannot build a confusion matrix from no pairs")
+    if smoothing <= 0:
+        raise ValueError(f"smoothing must be positive to keep rows stochastic, got {smoothing}")
+
+    # whole (kind, ref char, hyp char) ops are counted in C, then folded into
+    # (ref char, hyp char) counts; "" stands for the missing side of an indel
+    ops: Counter[tuple[str, object, object]] = Counter()
+    for _, alignment in scoring._alignments(pairs, "char", arabic_normalization):
+        ops.update(alignment.ops)
+    counts: Counter[tuple[str, str]] = Counter()
+    for (_, ref_char, hyp_char), c in ops.items():
+        counts[ref_char or "", hyp_char or ""] += c
+
+    symbols = ("",) + tuple(sorted({c for pair in counts for c in pair} - {""}))
+    index = {s: i for i, s in enumerate(symbols)}
+    matrix = np.zeros((len(symbols), len(symbols)))
+    for (a, b), c in counts.items():
+        matrix[index[a], index[b]] = c
+    matrix += smoothing
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    return ConfusionMatrix(symbols=symbols, probabilities=matrix)
 
 
 @dataclass(frozen=True, eq=False)

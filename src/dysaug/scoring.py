@@ -1,4 +1,4 @@
-"""Levenshtein alignment, WER/CER scoring, and confusion estimation.
+"""Levenshtein alignment and WER/CER scoring.
 
 Alignment is a bit-parallel Levenshtein DP (Myers 1999, in Hyyrö's 2004
 global form, with a backtrace): each hypothesis token updates a whole
@@ -11,19 +11,12 @@ identical across runs and platforms.  A pair of equal tokens always
 leaves the cost unchanged on the diagonal, so the backtrace takes it as a
 hit without reading the bit columns; only the other moves read them.
 
-Alignment and scoring are pure Python; numpy is imported only by
-`ConfusionMatrix` and `build_confusion`, so `score` never loads it.
+Alignment and scoring are pure Python and never load numpy.
 """
 
 from __future__ import annotations
 
-import json
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+from dataclasses import dataclass
 
 __all__ = [
     "HIT",
@@ -32,10 +25,8 @@ __all__ = [
     "INSERT",
     "Alignment",
     "ScoreReport",
-    "ConfusionMatrix",
     "align",
     "score",
-    "build_confusion",
     "normalize_arabic",
 ]
 
@@ -205,145 +196,3 @@ def score(pairs, unit: str = "word", arabic_normalization: bool = False) -> Scor
     if total.ref_length == 0:
         raise ValueError("cannot score: every reference is empty")
     return total
-
-
-@dataclass(frozen=True, eq=False)
-class ConfusionMatrix:
-    """Row-stochastic character confusion estimate.
-
-    symbols[0] is the distinguished null symbol "" — its row carries
-    insertion probabilities and its column deletion probabilities.
-    probabilities[i, j] estimates P(symbol i is realized as symbol j).
-    Symbols must be distinct, entries finite and non-negative, and each row
-    must sum to 1 within 1e-9; the constructor (and so `load`) raises
-    ValueError otherwise.
-
-    The fields cannot be reassigned and `probabilities` is a read-only
-    float64 copy of the array given, so a matrix keeps its checks, and
-    caches keyed on its identity stay valid.
-    """
-
-    symbols: tuple[str, ...]
-    probabilities: np.ndarray
-    _index: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        import numpy as np
-
-        p = np.array(self.probabilities, dtype=np.float64)
-        p.flags.writeable = False
-        object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        k = len(self.symbols)
-        if p.shape != (k, k):
-            raise ValueError(f"probability matrix shape {p.shape} does not match {k} symbols")
-        if self.symbols[0] != "":
-            raise ValueError('symbols[0] must be the null symbol ""')
-        if not (np.isfinite(p).all() and (p >= 0).all()):
-            raise ValueError("probabilities must be finite and non-negative")
-        bad = np.flatnonzero(np.abs(p.sum(axis=1) - 1.0) > 1e-9)
-        if bad.size:
-            raise ValueError(
-                f"row {self.symbols[bad[0]]!r} sums to {p[bad[0]].sum()}, not 1"
-            )
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
-        if len(self._index) != k:
-            dup = next(s for s, n in Counter(self.symbols).items() if n > 1)
-            raise ValueError(f"symbol {dup!r} appears more than once")
-
-    def __reduce__(self):
-        # rebuild through the constructor, so a copy is checked and read-only too
-        return (ConfusionMatrix, (self.symbols, self.probabilities))
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index
-
-    def prob(self, truth: str, realized: str) -> float:
-        return float(self.probabilities[self._index[truth], self._index[realized]])
-
-    def row(self, truth: str):
-        """Nonzero (symbol, probability) entries of one row."""
-        import numpy as np
-
-        values = self.probabilities[self._index[truth]]
-        return tuple((self.symbols[j], float(values[j])) for j in np.nonzero(values)[0])
-
-    @classmethod
-    def identity(cls, alphabet) -> "ConfusionMatrix":
-        """No-confusion matrix over the given characters."""
-        import numpy as np
-
-        symbols = ("",) + tuple(sorted(set(alphabet) - {""}))
-        return cls(symbols=symbols, probabilities=np.eye(len(symbols)))
-
-    def to_dict(self) -> dict:
-        return {"alphabet": list(self.symbols), "probabilities": self.probabilities.tolist()}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ConfusionMatrix":
-        """Inverse of `to_dict`; ValueError if `obj` does not have its shape."""
-        import numpy as np
-
-        if not isinstance(obj, dict):
-            raise ValueError(f"confusion matrix must be a JSON object, got {type(obj).__name__}")
-        alphabet = obj.get("alphabet")
-        if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
-            raise ValueError("confusion matrix 'alphabet' must be a list of strings")
-        rows = obj.get("probabilities")
-        if not isinstance(rows, list):
-            raise ValueError("confusion matrix 'probabilities' must be a list of rows")
-        try:
-            probabilities = np.array(rows, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError("confusion matrix 'probabilities' must be rows of numbers") from None
-        return cls(symbols=tuple(alphabet), probabilities=probabilities)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fout:
-            json.dump(self.to_dict(), fout, ensure_ascii=False)
-
-    @classmethod
-    def load(cls, path) -> "ConfusionMatrix":
-        """Read a `save`d matrix; a malformed file raises ValueError naming `path`."""
-        with open(path, encoding="utf-8-sig") as fin:
-            try:
-                return cls.from_dict(json.load(fin))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-
-
-def build_confusion(pairs, smoothing: float = 0.5,
-                    arabic_normalization: bool = False) -> ConfusionMatrix:
-    """Estimate a character confusion matrix from (ref, hyp) pairs.
-
-    Character-level alignments are accumulated into counts: hits and
-    substitutions go to count[ref_char][hyp_char], deletions to the null
-    column, insertions to the null row.  Rows are normalized with additive
-    smoothing over the observed alphabet, so every row is a distribution
-    even for characters never seen as reference.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("cannot build a confusion matrix from no pairs")
-    if smoothing <= 0:
-        raise ValueError(f"smoothing must be positive to keep rows stochastic, got {smoothing}")
-
-    import numpy as np
-
-    # whole (kind, ref char, hyp char) ops are counted in C, then folded into
-    # (ref char, hyp char) counts; "" stands for the missing side of an indel
-    ops: Counter[tuple[str, object, object]] = Counter()
-    for _, alignment in _alignments(pairs, "char", arabic_normalization):
-        ops.update(alignment.ops)
-    counts: Counter[tuple[str, str]] = Counter()
-    for (_, ref_char, hyp_char), c in ops.items():
-        counts[ref_char or "", hyp_char or ""] += c
-
-    symbols = ("",) + tuple(sorted({c for pair in counts for c in pair} - {""}))
-    index = {s: i for i, s in enumerate(symbols)}
-    matrix = np.zeros((len(symbols), len(symbols)))
-    for (a, b), c in counts.items():
-        matrix[index[a], index[b]] = c
-    matrix += smoothing
-    matrix /= matrix.sum(axis=1, keepdims=True)
-    return ConfusionMatrix(symbols=symbols, probabilities=matrix)

@@ -6,7 +6,7 @@ every word in each visited length bucket."""
 import numpy as np
 
 from dysaug.correction import Dictionary
-from dysaug.scoring import ConfusionMatrix
+from dysaug.correction import ConfusionMatrix
 
 _TIE_TOLERANCE = 1e-12
 

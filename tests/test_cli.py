@@ -339,17 +339,18 @@ class TestUsage:
         assert proc.stdout.strip() == "[]"
 
     def test_text_paths_load_no_numpy(self, tmp_path):
-        # align, score and manifest reading are pure Python, so the package
-        # and the score command must not pay for numpy's import
+        # scoring and manifest are pure Python, so the package, severity
+        # draws and the score command must not pay for numpy's import
         refs = tmp_path / "r.txt"
         refs.write_text("a b c\nd e\n", encoding="utf-8")
         manifest = tmp_path / "m.jsonl"
         manifest.write_text('{"id": "u1", "audio": "a.wav"}\n', encoding="utf-8")
         code = (
-            "import sys, dysaug, dysaug.cli\n"
+            "import sys, dysaug, dysaug.cli, dysaug.scoring, dysaug.manifest\n"
             "dysaug.score([('a b c', 'a x c')])\n"
             "dysaug.align('abc', 'axc')\n"
             f"dysaug.read_manifest({str(manifest)!r})\n"
+            "dysaug.assign_severities('u1', ['S1', 'S2'], 1, 0)\n"
             f"assert dysaug.cli.main(['score', '--refs', {str(refs)!r}, '--hyps', {str(refs)!r}]) == 0\n"
             "print([m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')])\n"
         )

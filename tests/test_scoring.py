@@ -285,6 +285,9 @@ class TestConfusionMatrixValidation:
         ([["", "a"], [[1, 0], [0, 1]]], "JSON object"),
         ({"alphabet": "ab", "probabilities": [[1.0]]}, "alphabet"),
         ({"alphabet": ["", "a"], "probabilities": [[1, 0], [{}, 1]]}, "probabilities"),
+        # numpy alone would read both of these as 1.0
+        ({"alphabet": [""], "probabilities": [["1"]]}, "'probabilities' must be rows of numbers"),
+        ({"alphabet": [""], "probabilities": [[True]]}, "'probabilities' must be rows of numbers"),
     ])
     def test_from_dict_rejects_malformed(self, obj, match):
         from dysaug import ConfusionMatrix
