@@ -5,7 +5,9 @@ Exit codes:
   1  an input or output file could not be read, parsed or written: a
      missing or malformed WAV, manifest, dictionary or confusion matrix,
      refs/hyps files that are not line-aligned, or a clip that `batch`
-     skipped (each skipped clip is logged once on stderr).
+     skipped (each skipped clip is logged once on stderr).  A text input
+     is also rejected, as `path:line: reason`, for bytes that are not
+     UTF-8, JSON nested too deep, or a JSON string with a lone surrogate.
   2  the command line is wrong; this is detected before any file is opened.
 
 Diagnostics go to stderr, data to files or stdout.
@@ -21,7 +23,7 @@ from pathlib import Path
 
 # each command imports the modules it runs, so that `score` and `--help`
 # never load numpy
-from .manifest import SEVERITIES, _check_plan, read_manifest, write_records
+from .manifest import SEVERITIES, _check_plan, _read_text, read_manifest, write_records
 
 log = logging.getLogger("dysaug")
 
@@ -45,6 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perturb", parents=[common],
                        help="perturb one WAV at a severity preset or explicit factors")
+    p.set_defaults(run=_cmd_perturb)
     p.add_argument("--in", dest="in_path", required=True, metavar="WAV")
     p.add_argument("--out", dest="out_path", required=True, metavar="WAV")
     p.add_argument("--severity", choices=SEVERITIES)
@@ -53,6 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", parents=[common],
                        help="augment a whole JSONL manifest")
+    p.set_defaults(run=_cmd_batch)
     p.add_argument("--manifest", required=True, metavar="JSONL")
     p.add_argument("--out-dir", required=True, metavar="DIR")
     p.add_argument("--severities", default=",".join(SEVERITIES),
@@ -64,12 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("confusion", parents=[common],
                        help="estimate a character confusion matrix from ref/hyp files")
+    p.set_defaults(run=_cmd_confusion)
     p.add_argument("--refs", required=True, metavar="TXT")
     p.add_argument("--hyps", required=True, metavar="TXT")
     p.add_argument("--out", dest="out_path", required=True, metavar="JSON")
 
     p = sub.add_parser("correct", parents=[common],
                        help="correct hypothesis text against a dictionary")
+    p.set_defaults(run=_cmd_correct)
     p.add_argument("--dict", dest="dict_path", required=True, metavar="TXT")
     p.add_argument("--confusion", metavar="JSON", help="confusion matrix for weighting")
     p.add_argument("--in", dest="in_path", required=True, metavar="TXT")
@@ -77,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", parents=[common],
                        help="WER/CER with substitution/insertion/deletion breakdown")
+    p.set_defaults(run=_cmd_score)
     p.add_argument("--refs", required=True, metavar="TXT")
     p.add_argument("--hyps", required=True, metavar="TXT")
     p.add_argument("--unit", choices=("word", "char"), default="word")
@@ -84,18 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8-sig") as fin:
-        return [line.rstrip("\n") for line in fin]
-
-
 def _read_aligned(refs_path: str, hyps_path: str) -> list[tuple[str, str]]:
-    refs = _read_lines(refs_path)
-    hyps = _read_lines(hyps_path)
+    refs, hyps = list(_read_text(refs_path)), list(_read_text(hyps_path))
     if len(refs) != len(hyps):
-        raise ValueError(
-            f"refs and hyps are not line-aligned: {len(refs)} vs {len(hyps)} lines"
-        )
+        raise ValueError(f"refs and hyps are not line-aligned: {refs_path} has {len(refs)} "
+                         f"lines, {hyps_path} has {len(hyps)}")
     return list(zip(refs, hyps))
 
 
@@ -150,11 +150,9 @@ def _cmd_correct(parser, args) -> int:
 
     dictionary = load_dictionary(args.dict_path)
     matrix = ConfusionMatrix.load(args.confusion) if args.confusion else None
-    lines = _read_lines(args.in_path)
+    lines = list(_read_text(args.in_path))
     with open(args.out_path, "w", encoding="utf-8") as fout:
-        for line in lines:
-            fout.write(correct_sentence(line, dictionary, matrix))
-            fout.write("\n")
+        fout.writelines(correct_sentence(line, dictionary, matrix) + "\n" for line in lines)
     log.info("corrected %d lines into %s", len(lines), args.out_path)
     return 0
 
@@ -169,15 +167,6 @@ def _cmd_score(parser, args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "perturb": _cmd_perturb,
-    "batch": _cmd_batch,
-    "confusion": _cmd_confusion,
-    "correct": _cmd_correct,
-    "score": _cmd_score,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -187,7 +176,7 @@ def main(argv=None) -> int:
         format="%(message)s",
     )
     try:
-        return _COMMANDS[args.command](parser, args)
+        return args.run(parser, args)
     except (OSError, ValueError) as exc:
         print(f"dysaug: {exc}", file=sys.stderr)
         return 1

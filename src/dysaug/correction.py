@@ -22,6 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import scoring
+from .manifest import _lone_surrogate, _parse_json, _read_text
 
 __all__ = [
     "ConfusionMatrix",
@@ -113,6 +114,8 @@ class ConfusionMatrix:
         alphabet = obj.get("alphabet")
         if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
             raise ValueError("confusion matrix 'alphabet' must be a list of strings")
+        if any(map(_lone_surrogate, alphabet)):
+            raise ValueError("confusion matrix 'alphabet' holds a lone surrogate")
         rows = obj.get("probabilities")
         if not isinstance(rows, list):
             raise ValueError("confusion matrix 'probabilities' must be a list of rows")
@@ -137,11 +140,11 @@ class ConfusionMatrix:
     @classmethod
     def load(cls, path) -> "ConfusionMatrix":
         """Read a `save`d matrix; a malformed file raises ValueError naming `path`."""
-        with open(path, encoding="utf-8-sig") as fin:
-            try:
-                return cls.from_dict(json.load(fin))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+        text = "\n".join(_read_text(path))
+        try:
+            return cls.from_dict(_parse_json(text))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def build_confusion(pairs, smoothing: float = 0.5,
@@ -220,25 +223,18 @@ def load_dictionary(path) -> Dictionary:
     Duplicate lines are merged by summing their counts.
     """
     freq: dict[str, int] = {}
-    with open(path, encoding="utf-8-sig") as fin:
-        for lineno, line in enumerate(fin, 1):
-            line = line.strip()
-            if not line:
-                continue
-            word, _, count = line.partition("\t")
-            word = word.strip()
-            if not word:
-                continue
-            if count:
-                try:
-                    n = int(count)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad frequency {count!r}") from None
-                if n < 0:
-                    raise ValueError(f"{path}:{lineno}: negative frequency {n}")
-            else:
-                n = 0
-            freq[word] = freq.get(word, 0) + n
+    for lineno, line in enumerate(_read_text(path), 1):
+        word, _, count = line.strip().partition("\t")
+        word = word.strip()
+        if not word:
+            continue
+        try:
+            n = int(count) if count else 0
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad frequency {count!r}") from None
+        if n < 0:
+            raise ValueError(f"{path}:{lineno}: negative frequency {n}")
+        freq[word] = freq.get(word, 0) + n
     if not freq:
         raise ValueError(f"{path}: no words found")
     return Dictionary(words=frozenset(freq), freq=freq)

@@ -36,6 +36,15 @@ _SEVERITY_PARAMS = {
 
 SEVERITIES = tuple(_SEVERITY_PARAMS)
 
+# JSON type names, first match wins (a bool is an int); others go by Python type
+_JSON_TYPES = ((type(None), "null"), (bool, "boolean"), ((int, float), "number"),
+               (list, "array"), (dict, "object"))
+
+
+def _lone_surrogate(text: str) -> bool:
+    """Whether `text` holds a lone surrogate, the one code point UTF-8 cannot encode."""
+    return not text.isascii() and text.encode("utf-8", "replace").decode() != text
+
 
 def _preset(severity: str) -> tuple[float, float]:
     """The (speed, tempo) preset of a severity label S1..S4."""
@@ -43,19 +52,6 @@ def _preset(severity: str) -> tuple[float, float]:
         return _SEVERITY_PARAMS[severity]
     except KeyError:
         raise ValueError(f"unknown severity {severity!r}, expected one of {SEVERITIES}") from None
-
-
-def _json_type(value) -> str:
-    """The JSON name of a value's type; the Python name for a non-JSON value."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, list):
-        return "array"
-    return "object" if isinstance(value, dict) else type(value).__name__
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,10 @@ class ManifestEntry:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "str" and not isinstance(value, str):
-                raise ValueError(f"field {f.name!r} must be a string, got {_json_type(value)}")
+                kind = next((n for t, n in _JSON_TYPES if isinstance(value, t)), type(value).__name__)
+                raise ValueError(f"field {f.name!r} must be a string, got {kind}")
+            if f.type == "str" and _lone_surrogate(value):
+                raise ValueError(f"field {f.name!r} holds a lone surrogate")
         if not self.id:
             raise ValueError("manifest entry id must be non-empty")
         # the id names output files, so it must stay one path component
@@ -112,6 +111,28 @@ class AugmentRecord(ManifestEntry):
             )
 
 
+def _read_text(path, errors=None):
+    r"""Yield the lines of a UTF-8 text file with an optional BOM, as text mode
+    splits them (at "\n", "\r\n" and "\r" only), without their breaks."""
+    try:
+        with open(path, encoding="utf-8-sig", errors=errors) as fin:
+            for line in fin:
+                yield line.rstrip("\n")
+    except UnicodeDecodeError:
+        # text mode decodes ahead, in blocks: a second pass finds the bad byte's line
+        lines = enumerate(_read_text(path, errors="surrogateescape"), 1)
+        line = next(n for n, text in lines if _lone_surrogate(text))
+        raise ValueError(f"{path}:{line}: not valid UTF-8") from None
+
+
+def _parse_json(text: str):
+    """json.loads, with a document nested too deep for it as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("nested too deep") from None
+
+
 def read_manifest(path) -> list[ManifestEntry]:
     """Load a JSONL manifest, enforcing unique ids.
 
@@ -120,25 +141,24 @@ def read_manifest(path) -> list[ManifestEntry]:
     """
     entries = []
     seen = set()
-    with open(path, encoding="utf-8-sig") as fin:
-        for lineno, line in enumerate(fin, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("expected a JSON object")
-                entry = ManifestEntry(**{f.name: obj[f.name] for f in fields(ManifestEntry)
-                                         if f.name in obj})
-                if entry.id in seen:
-                    raise ValueError(f"duplicate id {entry.id!r}")
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            seen.add(entry.id)
-            entries.append(entry)
+    for lineno, line in enumerate(_read_text(path), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = _parse_json(line)
+            if not isinstance(obj, dict):
+                raise ValueError("expected a JSON object")
+            entry = ManifestEntry(**{f.name: obj[f.name] for f in fields(ManifestEntry)
+                                     if f.name in obj})
+            if entry.id in seen:
+                raise ValueError(f"duplicate id {entry.id!r}")
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        seen.add(entry.id)
+        entries.append(entry)
     return entries
 
 

@@ -15,8 +15,8 @@ from pathlib import Path
 
 from .audio_io import Waveform, read_wav, resample, write_wav
 from .manifest import AugmentRecord, ManifestEntry, _check_plan, _preset, assign_severities
-from .speed import _check_factor as _check_speed
-from .tempo import _check_factor as _check_tempo, pertubate_signal
+from .speed import _check_factor
+from .tempo import TEMPO_FACTOR_RANGE, pertubate_signal
 
 __all__ = [
     "PerturbationParams",
@@ -39,8 +39,8 @@ class PerturbationParams:
     severity: str | None = None
 
     def __post_init__(self):
-        _check_speed(self.speed)
-        _check_tempo(self.tempo)
+        _check_factor(self.speed)
+        _check_factor(self.tempo, "tempo", TEMPO_FACTOR_RANGE)
 
 
 def params_for(severity: str) -> PerturbationParams:

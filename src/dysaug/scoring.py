@@ -171,14 +171,14 @@ def normalize_arabic(text: str) -> str:
 def _tokens(text: str, unit: str):
     if unit == "word":
         return text.split()
-    if unit == "char":
-        # collapse whitespace runs so formatting noise never counts as errors
-        return " ".join(text.split())
-    raise ValueError(f"unit must be 'word' or 'char', got {unit!r}")
+    # collapse whitespace runs so formatting noise never counts as errors
+    return " ".join(text.split())
 
 
 def _alignments(pairs, unit: str, arabic_normalization: bool):
-    """Yield (ref tokens, alignment) for each (ref, hyp) text pair."""
+    """Yield (ref tokens, alignment) per (ref, hyp) pair; a bad unit raises first."""
+    if unit not in ("word", "char"):
+        raise ValueError(f"unit must be 'word' or 'char', got {unit!r}")
     for ref_text, hyp_text in pairs:
         if arabic_normalization:
             ref_text = normalize_arabic(ref_text)

@@ -20,10 +20,10 @@ SPEED_FACTOR_RANGE = (0.25, 4.0)
 MIN_OUTPUT_SAMPLES = 64
 
 
-def _check_factor(factor: float) -> None:
-    lo, hi = SPEED_FACTOR_RANGE
+def _check_factor(factor: float, kind: str = "speed", bounds=SPEED_FACTOR_RANGE) -> None:
+    lo, hi = bounds
     if not lo <= factor <= hi:
-        raise ValueError(f"speed factor {factor} outside [{lo}, {hi}]")
+        raise ValueError(f"{kind} factor {factor} outside [{lo}, {hi}]")
 
 
 def perturb_speed(waveform: Waveform, factor: float) -> Waveform:

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio_io import Waveform
-from .speed import perturb_speed
+from .speed import _check_factor, perturb_speed
 
 __all__ = ["TEMPO_FACTOR_RANGE", "WsolaConfig", "perturb_tempo", "pertubate_signal"]
 
@@ -53,12 +53,6 @@ class WsolaConfig:
             )
         if self.tolerance < 0:
             raise ValueError(f"tolerance must be non-negative, got {self.tolerance}")
-
-
-def _check_factor(factor: float) -> None:
-    lo, hi = TEMPO_FACTOR_RANGE
-    if not lo <= factor <= hi:
-        raise ValueError(f"tempo factor {factor} outside [{lo}, {hi}]")
 
 
 def _hann(n: int) -> np.ndarray:
@@ -105,7 +99,7 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     envelope, which keeps amplitudes bounded.
     """
     cfg = config if config is not None else WsolaConfig()
-    _check_factor(factor)
+    _check_factor(factor, "tempo", TEMPO_FACTOR_RANGE)
     n = len(waveform)
     if n < cfg.frame_length:
         raise ValueError(

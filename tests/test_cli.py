@@ -251,6 +251,7 @@ class TestScoreCommand:
         proc = run_cli("score", "--refs", str(refs), "--hyps", str(hyps))
         assert proc.returncode == 1
         assert "line-aligned" in proc.stderr
+        assert f"{refs} has 2 lines, {hyps} has 1" in proc.stderr, proc.stderr
 
     def test_bad_unit_exits_2(self):
         proc = run_cli("score", "--refs", "r", "--hyps", "h", "--unit", "syllable")

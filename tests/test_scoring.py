@@ -156,6 +156,9 @@ class TestScore:
     def test_bad_unit(self):
         with pytest.raises(ValueError, match="unit"):
             score([("a", "a")], unit="phoneme")
+        # the unit is checked before the pairs, so no pairs still name it
+        with pytest.raises(ValueError, match="unit must be 'word' or 'char', got 'x'"):
+            score([], unit="x")
 
     def test_arabic_normalization_flag(self):
         ref = "كِتَاب"  # with harakat
