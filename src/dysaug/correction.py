@@ -59,6 +59,7 @@ class ConfusionMatrix:
     symbols: tuple[str, ...]
     probabilities: np.ndarray
     _index: dict = field(init=False, repr=False)
+    _rows: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         p = np.array(self.probabilities, dtype=np.float64)
@@ -81,6 +82,9 @@ class ConfusionMatrix:
         if len(self._index) != k:
             dup = next(s for s, n in Counter(self.symbols).items() if n > 1)
             raise ValueError(f"symbol {dup!r} appears more than once")
+        # `row`'s answers, kept per symbol on first use: building all K
+        # rows here would cost every build_confusion call about 0.2 ms
+        object.__setattr__(self, "_rows", {})
 
     def __reduce__(self):
         # rebuild through the constructor, so a copy is checked and read-only too
@@ -94,8 +98,13 @@ class ConfusionMatrix:
 
     def row(self, truth: str):
         """Nonzero (symbol, probability) entries of one row."""
-        values = self.probabilities[self._index[truth]]
-        return tuple((self.symbols[j], float(values[j])) for j in np.nonzero(values)[0])
+        row = self._rows.get(truth)
+        if row is None:
+            values = self.probabilities[self._index[truth]]
+            nonzero = np.flatnonzero(values).tolist()
+            row = self._rows[truth] = tuple(zip([self.symbols[j] for j in nonzero],
+                                                values[nonzero].tolist()))
+        return row
 
     @classmethod
     def identity(cls, alphabet) -> "ConfusionMatrix":
@@ -220,13 +229,17 @@ class Dictionary:
 def load_dictionary(path) -> Dictionary:
     """Load a word list: one word per line, optional tab-separated count.
 
-    Duplicate lines are merged by summing their counts.
+    Whitespace around either field is ignored, blank lines are skipped, and
+    duplicate lines are merged by summing their counts.  A count without a
+    word before its tab raises ValueError.
     """
     freq: dict[str, int] = {}
     for lineno, line in enumerate(_read_text(path), 1):
-        word, _, count = line.strip().partition("\t")
-        word = word.strip()
+        word, _, count = line.partition("\t")
+        word, count = word.strip(), count.strip()
         if not word:
+            if count:
+                raise ValueError(f"{path}:{lineno}: frequency without a word")
             continue
         try:
             n = int(count) if count else 0
@@ -302,15 +315,30 @@ def weighted_jaccard(word_a: str, word_b: str, matrix: ConfusionMatrix | None = 
 
 
 class _ProfileIndex:
-    """Dense profiles of every dictionary word, for one (dictionary, matrix).
+    """Profiles of every dictionary word, for one (dictionary, matrix).
 
     Symbols are the matrix symbols in matrix order (the null column
     included), then one hard-count symbol per dictionary character outside
     the matrix alphabet, in sorted order.  Words are sorted by (length,
-    word), so each word length is one contiguous bucket.  The profiles are
-    stored column-major, one contiguous row of `columns` per symbol, so a
-    query can bound a bucket's distances from a few symbols before it
-    computes any word's exact distance.
+    word), so each word length is one contiguous bucket.
+
+    A query filters in float32 and refines in float64 (Faloutsos et al.,
+    SIGMOD 1994).  `columns` holds the profiles in float32, column-major
+    (one contiguous row of |V| values per symbol); `counts` each word's
+    per-character counts, in the smallest unsigned dtype that holds them;
+    `mass` each word's float64 profile sum; `rank` its place in the
+    (-frequency, length, word) order.  At 20k words and 28 symbols that is
+    about 3.0 MB (2.24 MB of columns, 0.52 MB of uint8 counts), where a
+    float64 |V| x K copy alone takes 4.5 MB.
+
+    The filter sums min(p, q) over the query's heavy symbols in float32
+    and keeps a word only if that bound U, plus the query's light mass,
+    reaches (1 - c)(lo + |q|) / (2 - c) less a margin (see __init__), where
+    c is the best distance so far plus the tie tolerance and lo the
+    smallest mass of the word's length.  The few words kept, about 5 of
+    the ~6,500 visited on the benchmark's dictionary, get their exact
+    distance: the float64 distance of the float64 profile, computed from
+    their counts (see `_distances`).
     """
 
     def __init__(self, dictionary: Dictionary, matrix: ConfusionMatrix | None):
@@ -319,99 +347,138 @@ class _ProfileIndex:
         codes = np.frombuffer("".join(words).encode("utf-32-le", "surrogatepass"), dtype="<u4")
         char_codes, char_column = np.unique(codes, return_inverse=True)
         chars = [chr(c) for c in char_codes.tolist()]
-        # counts are float64 from the start (no int64 copy) and are freed
-        # before the profiles are copied column-major, to keep the build's
-        # peak memory down
         counts = np.bincount(
             np.repeat(np.arange(len(words)), lengths) * len(chars) + char_column.ravel(),
             minlength=len(words) * len(chars),
-        ).reshape(len(words), len(chars)).astype(np.float64)
+        ).reshape(len(words), len(chars))
+        self.counts = counts.astype(np.min_scalar_type(counts.max()))
+        del counts
 
         symbols = matrix.symbols if matrix is not None else ()
         extra = [c for c in chars if matrix is None or c not in matrix]
         width = len(symbols) + len(extra)
-        # one dense row per character that can occur in a query and in
-        # some profile: every matrix symbol, every dictionary character
-        self._char_rows = {}
+        # one dense row per character that can occur in a query and in some
+        # profile: the dictionary's characters in `counts` column order,
+        # then the matrix symbols that no dictionary word uses
+        self._char_index = {c: i for i, c in enumerate(chars)}
+        for c in symbols[1:]:
+            self._char_index.setdefault(c, len(self._char_index))
+        self._char_rows = np.zeros((len(self._char_index), width))
         for j, c in enumerate(extra):
-            self._char_rows[c] = np.zeros(width)
-            self._char_rows[c][len(symbols) + j] = 1.0
-        for i, c in enumerate(symbols):
-            if c:
-                self._char_rows[c] = np.zeros(width)
-                self._char_rows[c][: len(symbols)] = matrix.probabilities[i]
-        rows = np.stack([self._char_rows[c] for c in chars])
+            self._char_rows[self._char_index[c], len(symbols) + j] = 1.0
+        for i, c in enumerate(symbols[1:], 1):
+            self._char_rows[self._char_index[c], : len(symbols)] = matrix.probabilities[i]
+        self._profile_rows = self._char_rows[: len(chars)]
 
-        profiles = counts @ rows
-        del counts
+        # Every float64 product of counts and profile rows is done a block
+        # of words at a time, of at most 2^18 multiply-adds, which OpenBLAS
+        # runs on one thread.  A threaded product over the whole dictionary
+        # leaves the other threads' buffers resident (about 4 MB of RSS at
+        # 20k words), and on a loaded machine it can wait milliseconds for
+        # its threads.  At build time the blocks give `mass` and the float32
+        # columns, so no float64 |V| x K array is ever held.
+        self._block = max(1, 2**18 // (len(chars) * width))
+        self.mass = np.empty(len(words))
+        self.columns = np.empty((width, len(words)), dtype=np.float32)
+        for lo in range(0, len(words), self._block):
+            profiles = self.counts[lo : lo + self._block] @ self._profile_rows
+            self.mass[lo : lo + self._block] = profiles.sum(axis=1)
+            self.columns[:, lo : lo + self._block] = profiles.T
         self.words = words
-        self.mass = profiles.sum(axis=1)
-        self.columns = np.ascontiguousarray(profiles.T)
         # stable sort of the (length, word) order (reverse keeps it stable):
         # ranks by (-freq, length, word)
         freqs = list(map(dictionary.freq.get, words, repeat(0)))
         by_key = sorted(range(len(words)), key=freqs.__getitem__, reverse=True)
-        self.rank = np.empty(len(words), dtype=np.intp)
+        self.rank = np.empty(len(words), dtype=np.min_scalar_type(len(words) - 1))
         self.rank[by_key] = np.arange(len(words))
         self.starts = np.flatnonzero(np.diff(lengths, prepend=-1))
         self.ends = np.append(self.starts[1:], len(words))
         self.mass_lo = np.minimum.reduceat(self.mass, self.starts)
         self.mass_hi = np.maximum.reduceat(self.mass, self.starts)
+        self._buckets = list(zip(self.starts.tolist(), self.ends.tolist(),
+                                 self.mass_lo.tolist(), self.mass_hi.tolist()))
+        # The filter's float32 min-sum u over the h < K heavy symbols is
+        # within h * 2^-24 * |q| of the float64 one: each term min(p, q) is
+        # rounded once (rounding is monotone, so the min of the rounded
+        # values is the rounded min; below float32's normal range the error
+        # is at most 2^-149 instead), and summing h terms rounds h - 1 more
+        # times.  Comparing u with a threshold rounded to float32 adds one
+        # rounding of a value below |p| + |q|.  A margin of 4 * K * 2^-24
+        # (about 7e-6 at K = 28) times |p| + |q| is twice all of that, and
+        # far above the float64 rounding of the refine and of q_light
+        # (about 1e-14), so the filter never drops a word whose refined
+        # distance is within the tie tolerance of the best.
+        self._margin = 4 * width * 2.0**-24
 
     def nearest(self, word: str) -> str:
         """The word at minimal distance, ties within _TIE_TOLERANCE going
         to the lowest (-frequency, length, word)."""
-        q = np.zeros(len(self.columns))
         # characters in no profile add to the max-sum only
-        outside = 0.0
-        for c in word:
-            row = self._char_rows.get(c)
-            if row is None:
-                outside += 1.0
-            else:
-                q += row
-        q_mass = q.sum() + outside
-        # sum(min(p, q)) <= sum over q's heavy symbols of min(p, q), plus q's
-        # mass on the other symbols: a cheap upper bound on a word's min-sum
-        heavy = q > q.mean()
-        q_heavy = q[heavy, None]
-        q_light = q[~heavy].sum()
+        rows = [self._char_index[c] for c in word if c in self._char_index]
+        outside = len(word) - len(rows)
+        # summed from zero in word order, as a loop of q += row would
+        q = np.add.reduce(self._char_rows.take(rows, axis=0), axis=0, initial=0.0)
+        q_sum = float(q.sum())
+        q_mass = q_sum + outside
+        # sum(min(p, q)) <= sum over q's heavy symbols (those above its mean)
+        # of min(p, q), plus q's mass on the other symbols: a cheap upper
+        # bound on a word's min-sum
+        heavy = (q > q_sum / len(q)).nonzero()[0]
+        q_heavy = q[heavy]
+        q_light = q_sum - float(q_heavy.sum())
+        q_heavy = q_heavy[:, None].astype(np.float32)
         # sum(max(p, q)) >= max(|p|, |q|) and sum(min(p, q)) <= min(|p|, |q|),
         # so a bucket whose masses lie in [lo, hi] is at distance at least:
-        bound = np.maximum(1.0 - self.mass_hi / q_mass, 1.0 - q_mass / self.mass_lo)
+        bounds = [max(1.0 - hi / q_mass, 1.0 - q_mass / lo) for _, _, lo, hi in self._buckets]
         best = np.inf
         seen = []
-        for b in np.argsort(bound, kind="stable"):
-            if bound[b] > best + _TIE_TOLERANCE:
+        for b in sorted(range(len(bounds)), key=bounds.__getitem__):
+            # a word's refined min-sum can exceed its rounded mass by a few
+            # ulps, so a bucket's bound may sit above its words' distances by
+            # about K * 2^-52, far inside a second tolerance
+            if bounds[b] > best + 2 * _TIE_TOLERANCE:
                 break
-            lo, hi = self.starts[b], self.ends[b]
-            upper = np.minimum(self.columns[heavy, lo:hi], q_heavy).sum(axis=0)
-            upper += q_light
-            # a margin far above rounding keeps the bound above the computed
-            # min-sum too; the distance falls as the min-sum grows, and the
-            # same float operations as in _distances are monotone, so `lower`
-            # never exceeds a word's computed distance
-            upper *= 1.0 + 1e-9
-            lower = 1.0 - upper / (self.mass[lo:hi] + q_mass - upper)
-            if not seen:
-                # the most promising word sets the first best distance
-                best = self._distances(lo + np.argmin(lower, keepdims=True), q, q_mass)[0]
-            # only words the bound cannot rule out get an exact distance
-            rows = lo + np.flatnonzero(lower <= best + _TIE_TOLERANCE)
-            d = self._distances(rows, q, q_mass)
-            best = d.min(initial=best)
-            seen.append((rows, d))
+            start, end, lo, _ = self._buckets[b]
+            u = self.columns[heavy, start:end]
+            np.minimum(u, q_heavy, out=u)
+            u = u.sum(axis=0)
+            if best == np.inf:
+                # the word with the largest min-sum bound sets the first best
+                best = self._distances(start + u.argmax(keepdims=True), q, q_mass)[0]
+            # a word's distance 1 - U / (|p| + |q| - U) falls as its min-sum
+            # U = u + q_light grows, and is at most c once
+            # U >= (1 - c)(|p| + |q|) / (2 - c); |p| >= lo, so words below
+            # the bucket's threshold are farther than c, with the margin
+            # (see __init__) standing in for float32 rounding
+            c = best + _TIE_TOLERANCE
+            scale = lo + q_mass
+            threshold = (1.0 - c) * scale / (2.0 - c) - q_light - self._margin * scale
+            rows = start + (u >= threshold).nonzero()[0]
+            if rows.size:
+                d = self._distances(rows, q, q_mass)
+                best = d.min(initial=best)
+                seen.append((rows, d))
         tied = np.concatenate([rows[d <= best + _TIE_TOLERANCE] for rows, d in seen])
         return self.words[tied[np.argmin(self.rank[tied])]]
 
     def _distances(self, rows: np.ndarray, q: np.ndarray, q_mass: float) -> np.ndarray:
-        """Exact distances from the query profile q to the given words."""
-        # a C-contiguous block of word profiles sums each row in the same
-        # order as a row-major index would
-        profiles = np.ascontiguousarray(self.columns[:, rows].T)
-        minsum = np.minimum(profiles, q).sum(axis=1)
+        """Distances from the query profile q to the given words, from
+        their float64 profiles.
+
+        The profiles come from BLAS products, whose float64 bits can differ
+        by an ulp between a one-row product and a many-row one.  The 1e-12
+        tie rule absorbs that: distances an ulp apart are ties, settled by
+        frequency, length and word.
+        """
+        counts = self.counts.take(rows, axis=0)
+        if len(rows) <= self._block:
+            profiles = counts @ self._profile_rows
+        else:  # one product per block, each on one BLAS thread (see __init__)
+            profiles = np.concatenate([counts[lo : lo + self._block] @ self._profile_rows
+                                       for lo in range(0, len(rows), self._block)])
+        minsum = np.minimum(profiles, q, out=profiles).sum(axis=1)
         # sum(max(p, q)) = |p| + |q| - sum(min(p, q))
-        return 1.0 - minsum / (self.mass[rows] + q_mass - minsum)
+        return 1.0 - minsum / (self.mass.take(rows) + q_mass - minsum)
 
 
 @functools.lru_cache(maxsize=8)

@@ -18,6 +18,7 @@ import dysaug
 from dysaug import (
     ConfusionMatrix,
     Dictionary,
+    build_confusion,
     correct_sentence,
     correct_word,
     load_dictionary,
@@ -259,6 +260,25 @@ class TestFrozenInputs:
         assert correct_word("abx", d) == "abe"
 
 
+@pytest.mark.parametrize(
+    "clone", [lambda o: o, lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy],
+    ids=["original", "pickle", "deepcopy"],
+)
+def test_row_lists_the_nonzero_entries_in_column_order(clone):
+    soft = soft_matrix({"b": {"b": 0.8, "x": 0.2}, "a": {"h": 0.75, "a": 0.25}})
+    dense = build_confusion([("the cat sat", "teh cat sad"), ("on a mat", "on the mat")])
+    for matrix in map(clone, (soft, dense)):
+        for i, symbol in enumerate(matrix.symbols):
+            values = matrix.probabilities[i]
+            want = tuple((matrix.symbols[j], float(values[j])) for j in np.nonzero(values)[0])
+            got = matrix.row(symbol)
+            assert got == want
+            assert all(type(p) is float for _, p in got)
+            assert matrix.row(symbol) == want  # kept from the first call
+    with pytest.raises(KeyError):
+        soft.row("z")
+
+
 class TestDictionaryFile:
     def test_load_with_frequencies(self, tmp_path):
         path = tmp_path / "dict.txt"
@@ -286,6 +306,15 @@ class TestDictionaryFile:
         path.write_text("\n\n")
         with pytest.raises(ValueError, match="no words"):
             load_dictionary(path)
+
+    def test_frequency_without_a_word(self, tmp_path):
+        path = tmp_path / "dict.txt"
+        path.write_text("cat\t5\n \t \n\t7\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"dict\.txt:3: frequency without a word"):
+            load_dictionary(path)
+        # a line of blanks and a tab holds neither field, and is skipped
+        path.write_text("cat\t5\n \t \n dog \t 2 \n", encoding="utf-8")
+        assert dict(load_dictionary(path).freq) == {"cat": 5, "dog": 2}
 
 
 def test_monotone_benefit_of_confusion_weighting():
@@ -360,15 +389,19 @@ def test_correction_does_not_depend_on_hash_seed():
     # a distance summed in hash order once changed about 2% of the picks
     src = Path(dysaug.__file__).resolve().parent.parent
     root = Path(__file__).resolve().parent.parent
+    # the refine calls BLAS on every query: the last run pins it to one thread
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    one_thread = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     outputs = []
-    for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
+    for seed, threads in (("1", {}), ("2", {}), ("1", one_thread)):
+        env = dict(base, PYTHONHASHSEED=seed, **threads,
                    PYTHONPATH=os.pathsep.join([str(root), str(src)]))
         proc = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], cwd=root, env=env,
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @settings(max_examples=200, deadline=None)
@@ -436,3 +469,97 @@ def test_pruned_search_scores_few_words_exactly(monkeypatch):
         bound = np.maximum(1.0 - index.mass_hi / q_mass, 1.0 - q_mass / index.mass_lo)
         visited += (index.ends - index.starts)[bound <= best + 1e-12].sum()
     assert sum(scored) < 0.05 * visited, (sum(scored), visited)
+
+
+def runs_of(letters, max_run=40):
+    """Words made of up to six runs of one letter each."""
+    runs = st.lists(st.tuples(st.sampled_from(letters), st.integers(1, max_run)),
+                    min_size=1, max_size=6)
+    return runs.map(lambda rs: "".join(c * n for c, n in rs))
+
+
+@st.composite
+def skewed_matrices(draw):
+    # entries over eight orders of magnitude (and some zeros): float32
+    # keeps a row's large and tiny probabilities at different precisions
+    k = len(MATRIX_ALPHABET) + 1
+    exponents = np.array(draw(st.lists(st.integers(-9, 0), min_size=k * k, max_size=k * k)),
+                         dtype=np.float64).reshape(k, k)
+    weights = np.where(exponents < -8, 0.0, 10.0 ** exponents) + np.eye(k)
+    return ConfusionMatrix(symbols=("",) + tuple(MATRIX_ALPHABET),
+                           probabilities=weights / weights.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    freq=st.dictionaries(runs_of("abcde"), st.integers(0, 2), min_size=1, max_size=40),
+    long_letter=st.sampled_from("abcde"),
+    long_run=st.integers(256, 400),
+    matrix=st.one_of(st.none(), skewed_matrices()),
+    queries=st.lists(runs_of("abcdefxz"), min_size=1, max_size=5),
+    near_long=st.tuples(st.integers(-3, 3), runs_of("abcdefxz", max_run=3)),
+)
+def test_float32_filter_matches_full_scan_on_long_repeated_words(
+        freq, long_letter, long_run, matrix, queries, near_long):
+    # a letter repeated over 255 times widens the counts past uint8, and
+    # profile values in the hundreds keep only about 5 decimals in float32
+    freq = dict(freq)
+    freq[long_letter * long_run] = 1
+    dictionary = Dictionary.from_words(freq, freq=freq)
+    index = _ProfileIndex(dictionary, matrix)
+    assert index.counts.dtype == np.uint16
+    oracle = OracleProfileIndex(dictionary, matrix)
+    delta, tail = near_long
+    for query in queries + [long_letter * (long_run + delta) + tail]:
+        assert index.nearest(query) == oracle.nearest(query)
+
+
+@pytest.mark.parametrize("matrix", [None, ConfusionMatrix.identity("abc"), "soft"],
+                         ids=["no-matrix", "identity", "soft"])
+def test_query_outside_every_profile_takes_frequency_then_length_then_word(matrix):
+    # every word is at distance 1 from a query in another script, so all
+    # 3,000 words tie
+    if matrix == "soft":
+        matrix = soft_matrix({"a": {"a": 0.5, "b": 0.5}})
+    rng = random.Random(5)
+    freq = {}
+    while len(freq) < 3000:
+        freq["".join(rng.choices("abcde", k=rng.randint(3, 9)))] = rng.randrange(3)
+    freq.update({"eeee": 3, "dde": 3, "ddc": 3})
+    dictionary = Dictionary.from_words(freq, freq=freq)
+    assert correct_word("\u03a9\u03a9", dictionary, matrix) == "ddc"
+    assert OracleProfileIndex(dictionary, matrix).nearest("\u03a9\u03a9") == "ddc"
+
+
+def test_index_keeps_no_float64_profile_matrix():
+    # the benchmark's size: 20k words over 28 symbols
+    rng = random.Random(2)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    words = set()
+    while len(words) < 20000:
+        words.add("".join(rng.choices(letters, k=rng.randint(3, 9))))
+    matrix = ConfusionMatrix.identity(letters + "'")
+    index = _ProfileIndex(Dictionary.from_words(words), matrix)
+    n, k = len(words), len(matrix.symbols)
+    assert k == 28
+    arrays = [a for a in vars(index).values() if isinstance(a, np.ndarray)]
+    assert not [a.shape for a in arrays if a.dtype == np.float64 and a.nbytes >= n * k * 8]
+    assert sum(a.nbytes for a in arrays) <= 3.2e6
+
+
+def test_refine_in_blocks_matches_full_scan_distances():
+    # more words than one BLAS block holds: the refine splits its product
+    rng = random.Random(3)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    words = {"".join(rng.choices(letters, k=rng.randint(3, 9))) for _ in range(2000)}
+    matrix = soft_matrix({"a": {"a": 0.5, "e": 0.5}, "o": {"o": 0.75, "u": 0.25}})
+    dictionary = Dictionary.from_words(words)
+    index = _ProfileIndex(dictionary, matrix)
+    oracle = OracleProfileIndex(dictionary, matrix)
+    assert index.words == oracle.words
+    assert len(index.words) > 3 * index._block
+    q = sum(oracle._char_rows[c] for c in "quizzical")
+    minsum = np.minimum(oracle.profiles, q).sum(axis=1)
+    want = 1.0 - minsum / (oracle.mass + q.sum() - minsum)
+    got = index._distances(np.arange(len(index.words)), q, q.sum())
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
