@@ -391,6 +391,9 @@ class _ProfileIndex:
         by_key = sorted(range(len(words)), key=freqs.__getitem__, reverse=True)
         self.rank = np.empty(len(words), dtype=np.min_scalar_type(len(words) - 1))
         self.rank[by_key] = np.arange(len(words))
+        # the pick for a query with no character in any profile: its min-sum
+        # with every word is 0, so every word is at distance exactly 1
+        self._lowest_rank = words[by_key[0]]
         self.starts = np.flatnonzero(np.diff(lengths, prepend=-1))
         self.ends = np.append(self.starts[1:], len(words))
         self.mass_lo = np.minimum.reduceat(self.mass, self.starts)
@@ -415,6 +418,8 @@ class _ProfileIndex:
         to the lowest (-frequency, length, word)."""
         # characters in no profile add to the max-sum only
         rows = [self._char_index[c] for c in word if c in self._char_index]
+        if not rows:
+            return self._lowest_rank
         outside = len(word) - len(rows)
         # summed from zero in word order, as a loop of q += row would
         q = np.add.reduce(self._char_rows.take(rows, axis=0), axis=0, initial=0.0)

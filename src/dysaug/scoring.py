@@ -11,12 +11,24 @@ identical across runs and platforms.  A pair of equal tokens always
 leaves the cost unchanged on the diagonal, so the backtrace takes it as a
 hit without reading the bit columns; only the other moves read them.
 
+Character pairs (`score` with unit='char', and `build_confusion`) are
+aligned many at a time, after Hyyrö, Fredriksson & Navarro (ACM JEA 2005):
+consecutive pairs share one column step, each in its own byte-aligned lane
+of bits with at least one guard bit above its rows, so no carry or shift
+crosses from one lane into the next, and each lane keeps its own DP and
+backtrace.  A pass holds at most _LANE_BITS = 4096 bits of lanes, and the
+input is read no more than one pass ahead of what has been aligned, so
+memory does not grow with the corpus.  Word pairs are aligned one at a
+time: a pass of 5-20-word pairs measured about 0.8x the speed of `align`
+per pair, as a word pair has too few columns to repay setting up its lane.
+
 Alignment and scoring are pure Python and never load numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 __all__ = [
     "HIT",
@@ -34,6 +46,9 @@ HIT = "hit"
 SUBSTITUTE = "substitute"
 DELETE = "delete"
 INSERT = "insert"
+
+# the most lane bits one pass of _align_lanes holds
+_LANE_BITS = 4096
 
 
 @dataclass
@@ -63,6 +78,16 @@ class Alignment:
         return hits, subs, dels, inss
 
 
+def _match_bits(ref) -> dict:
+    """peq[t] has bit i-1 set where ref[i-1] matches t."""
+    peq: dict = {}
+    bit = 1
+    for tok in ref:
+        peq[tok] = peq.get(tok, 0) | bit
+        bit <<= 1
+    return peq
+
+
 def align(ref, hyp) -> Alignment:
     """Minimum-edit alignment of two token sequences under unit costs.
 
@@ -71,13 +96,8 @@ def align(ref, hyp) -> Alignment:
     itself, and 1 matches 1.0).  Ties during backtrace prefer hit, then
     substitute, then delete, then insert.
     """
-    # peq[t] has bit i-1 set where ref[i-1] matches t
-    peq: dict = {}
-    bit = 1
-    for tok in ref:
-        peq[tok] = peq.get(tok, 0) | bit
-        bit <<= 1
-    mask = bit - 1
+    peq = _match_bits(ref)
+    mask = (1 << len(ref)) - 1
     # Column j of the cost table d, one bit per row (Myers 1999, in Hyyrö's
     # 2004 global form): bit i-1 of vp/vn is set where d[i][j] - d[i-1][j]
     # is +1/-1, bit i of hp/hn where d[i][j] - d[i][j-1] is; the top row's
@@ -95,9 +115,17 @@ def align(ref, hyp) -> Alignment:
         vp = (hn | mask ^ (xv | hp)) & mask
         vn = hp & xv
         cols.append((vp, vn, hp, hn))
+    return _backtrace(ref, hyp, cols, 0, len(hyp) + vp.bit_count() - vn.bit_count())
 
+
+def _backtrace(ref, hyp, cols, shift: int, distance: int) -> Alignment:
+    """The edit script from d[len(ref)][len(hyp)] == distance back to d[0][0].
+
+    cols[j] holds column j's (vp, vn, hp, hn) for j >= 1, with row i of
+    the pair's table at bit shift + i - 1 (its lane's offset; 0 in `align`).
+    """
     i, j = len(ref), len(hyp)
-    cur = distance = j + vp.bit_count() - vn.bit_count()  # d[m][n]
+    cur = distance
     ops: list[tuple[str, object, object]] = []
     while i and j:
         r = ref[i - 1]
@@ -110,7 +138,7 @@ def align(ref, hyp) -> Alignment:
             j -= 1
             continue
         vp, vn, hp, hn = cols[j]
-        b = 1 << (i - 1)
+        b = 1 << (shift + i - 1)
         up = cur - 1 if vp & b else cur + 1 if vn & b else cur  # d[i-1][j]
         diag = up - 1 if hp & b else up + 1 if hn & b else up  # d[i-1][j-1]
         if diag + 1 == cur:
@@ -132,6 +160,88 @@ def align(ref, hyp) -> Alignment:
         ops.append((INSERT, None, hyp[j]))
     ops.reverse()
     return Alignment(ops=ops, distance=distance)
+
+
+def _lane_bytes(ref) -> int:
+    # one bit per reference token and at least one guard bit, in whole bytes
+    return len(ref) // 8 + 1
+
+
+def _passes(pairs):
+    """Consecutive (ref, hyp) pairs, grouped into passes whose lanes fill at
+    most _LANE_BITS bits; a pair wider than that is a pass of its own."""
+    batch: list = []
+    bits = 0
+    for pair in pairs:
+        width = 8 * _lane_bytes(pair[0])
+        if batch and bits + width > _LANE_BITS:
+            yield batch
+            batch, bits = [], 0
+        batch.append(pair)
+        bits += width
+    if batch:
+        yield batch
+
+
+def _align_lanes(pairs) -> list[Alignment]:
+    """[align(ref, hyp) for ref, hyp in pairs], one pass of lanes at a time."""
+    out: list[Alignment] = []
+    for batch in _passes(pairs):
+        out += _align_pass(batch) if len(batch) > 1 else [align(*batch[0])]
+    return out
+
+
+def _align_pass(pairs) -> list[Alignment]:
+    """Align several pairs with one column step per hypothesis position.
+
+    Pair k owns lane k: _lane_bytes(ref) bytes from bit offset shift_k,
+    its rows at the bottom and its guard bits above them.  Column j's eq
+    joins every lane's match bytes for its hypothesis token j (zero bytes
+    once that hypothesis has ended) into one int; `lows`, bit 0 of every
+    non-empty lane, stands in for `align`'s | 1.  A carry out of a lane's
+    top row stops in its guard bit, which vp and vn never hold (the final
+    & mask clears it).  A guard bit shifted up lands in padding, or on bit
+    0 of the next lane's hp, which | lows sets anyway (an empty lane has no
+    row to read it).  So each lane runs its own DP.  A lane's columns past
+    its hypothesis are never read.
+    """
+    columns = max(len(hyp) for _, hyp in pairs)
+    lanes = []
+    shifts = []
+    shift = mask = lows = 0
+    for ref, hyp in pairs:
+        size = _lane_bytes(ref)
+        zero = bytes(size)
+        peq = {tok: v.to_bytes(size, "little") for tok, v in _match_bits(ref).items()}
+        lanes.append(chain(map(peq.get, hyp, repeat(zero)), repeat(zero, columns - len(hyp))))
+        shifts.append(shift)
+        mask |= ((1 << len(ref)) - 1) << shift
+        if ref:
+            lows |= 1 << shift
+        shift += 8 * size
+
+    # the step of `align`, on every lane at once; lane k of the joined
+    # little-endian bytes is bits shift_k and up
+    join, from_bytes = b"".join, int.from_bytes
+    vp, vn = mask, 0
+    cols = [(vp, vn, 0, 0)]
+    for col in zip(*lanes):
+        eq = from_bytes(join(col), "little")
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = (vn | mask ^ (xh | vp)) << 1 | lows
+        hn = (vp & xh) << 1
+        vp = (hn | mask ^ (xv | hp)) & mask
+        vn = hp & xv
+        cols.append((vp, vn, hp, hn))
+
+    out = []
+    for (ref, hyp), shift in zip(pairs, shifts):
+        vp, vn = cols[len(hyp)][:2]
+        rows = ((1 << len(ref)) - 1) << shift
+        distance = len(hyp) + (vp & rows).bit_count() - (vn & rows).bit_count()
+        out.append(_backtrace(ref, hyp, cols, shift, distance))
+    return out
 
 
 @dataclass
@@ -176,23 +286,39 @@ def _tokens(text: str, unit: str):
 
 
 def _alignments(pairs, unit: str, arabic_normalization: bool):
-    """Yield (ref tokens, alignment) per (ref, hyp) pair; a bad unit raises first."""
+    """Yield (ref tokens, alignment) per (ref, hyp) pair, in order; a bad unit
+    raises first.  Characters are aligned a pass of lanes at a time, so no
+    more than one pass of pairs is read ahead; words one pair at a time."""
     if unit not in ("word", "char"):
         raise ValueError(f"unit must be 'word' or 'char', got {unit!r}")
+    tokens = _token_pairs(pairs, unit, arabic_normalization)
+    if unit == "word":
+        for ref, hyp in tokens:
+            yield ref, align(ref, hyp)
+        return
+    for batch in _passes(tokens):
+        for (ref, _), alignment in zip(batch, _align_lanes(batch)):
+            yield ref, alignment
+
+
+def _token_pairs(pairs, unit: str, arabic_normalization: bool):
     for ref_text, hyp_text in pairs:
         if arabic_normalization:
             ref_text = normalize_arabic(ref_text)
             hyp_text = normalize_arabic(hyp_text)
-        ref = _tokens(ref_text, unit)
-        yield ref, align(ref, _tokens(hyp_text, unit))
+        yield _tokens(ref_text, unit), _tokens(hyp_text, unit)
 
 
 def score(pairs, unit: str = "word", arabic_normalization: bool = False) -> ScoreReport:
     """Aggregate WER (unit='word') or CER (unit='char') over (ref, hyp) pairs."""
-    total = ScoreReport(0, 0, 0, 0, 0)
+    hits = subs = dels = inss = ref_length = 0
     for ref, alignment in _alignments(pairs, unit, arabic_normalization):
-        hits, subs, dels, inss = alignment.counts()
-        total = total + ScoreReport(subs, inss, dels, hits, len(ref))
-    if total.ref_length == 0:
+        h, s, d, i = alignment.counts()
+        hits += h
+        subs += s
+        dels += d
+        inss += i
+        ref_length += len(ref)
+    if ref_length == 0:
         raise ValueError("cannot score: every reference is empty")
-    return total
+    return ScoreReport(subs, inss, dels, hits, ref_length)

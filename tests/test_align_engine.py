@@ -1,6 +1,7 @@
-"""The bit-parallel `align` against the cost-table DP it replaced.
+"""The bit-parallel `align`, and `_align_lanes`, which runs many pairs in
+one column step, against the cost-table DP they replaced.
 
-Both must give the same edit script, tie-breaks included, and the same
+All must give the same edit script, tie-breaks included, and the same
 distance, for characters and word tokens, empty sides, Arabic with
 harakat, and reference lengths on either side of the 64- and 128-bit
 word boundaries of the column vectors.
@@ -9,7 +10,8 @@ word boundaries of the column vectors.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dysaug.scoring import align
+from dysaug import scoring
+from dysaug.scoring import align, normalize_arabic
 
 from ._align_oracle import oracle_align
 
@@ -95,3 +97,81 @@ def test_boundary_lengths_with_dense_ties_match_oracle(m, n, alphabet, rng):
     ref = "".join(rng.choice(alphabet) for _ in range(m))
     hyp = "".join(rng.choice(alphabet) for _ in range(n))
     check(ref, hyp)
+
+
+@st.composite
+def lane_batches(draw):
+    """(text pairs, arabic_normalization) for the character path: a mix of
+    alphabets, and sometimes enough copies of the pairs to fill several
+    passes of _LANE_BITS."""
+    batch = draw(st.lists(
+        st.sampled_from(["ab", "abcdefghij ", ARABIC]).flatmap(pairs), max_size=10))
+    batch = [("".join(ref), "".join(hyp)) for ref, hyp in batch]
+    return batch * draw(st.sampled_from([1, 1, 1, 40])), draw(st.booleans())
+
+
+def chars(text, arabic_normalization):
+    """The character tokens `score` and `build_confusion` align."""
+    return " ".join((normalize_arabic(text) if arabic_normalization else text).split())
+
+
+def lane_bits(batch):
+    return sum(8 * (len(ref) // 8 + 1) for ref, _ in batch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lane_batches())
+@example(([("", ""), ("", "xy"), ("abc", ""), ("abcdefg", "abdefgh"), ("a" * 65, "a" * 64)],
+          False))
+@example(([("abc" * 30, "abd" * 31)] * 50, False))
+def test_lanes_match_align_and_oracle(drawn):
+    batch, arabic_normalization = drawn
+    tokens = [(chars(ref, arabic_normalization), chars(hyp, arabic_normalization))
+              for ref, hyp in batch]
+    got = scoring._align_lanes(tokens)
+    assert got == [align(ref, hyp) for ref, hyp in tokens]
+    assert [a for _, a in scoring._alignments(batch, "char", arabic_normalization)] == got
+    for (ref, hyp), alignment in dict(zip(tokens, got)).items():
+        want = oracle_align(ref, hyp)
+        assert alignment.ops == want.ops
+        assert alignment.distance == want.distance
+
+
+def test_a_batch_wider_than_lane_bits_runs_in_passes(monkeypatch):
+    # 90 characters take a 96-bit lane, so a pass holds 42 pairs and the
+    # 85th pair is a pass of its own, which `align` takes
+    batch = [("abc" * 30, "abd" * 31)] * 85
+    want = align(*batch[0])
+    passes = []
+    real_pass, real_align = scoring._align_pass, scoring.align
+
+    def counting_pass(pass_pairs):
+        passes.append(len(pass_pairs))
+        assert lane_bits(pass_pairs) <= scoring._LANE_BITS
+        return real_pass(pass_pairs)
+
+    def counting_align(ref, hyp):
+        passes.append(1)
+        return real_align(ref, hyp)
+
+    monkeypatch.setattr(scoring, "_align_pass", counting_pass)
+    monkeypatch.setattr(scoring, "align", counting_align)
+    assert scoring._align_lanes(batch) == [want] * 85
+    assert passes == [42, 42, 1]
+
+
+def test_char_alignments_read_at_most_one_pass_ahead():
+    # 60 characters take a 64-bit lane, so a pass holds _LANE_BITS // 64
+    # pairs; the pair that did not fit is the only one read beyond it
+    drawn = 0
+
+    def endless():
+        nonlocal drawn
+        while True:
+            drawn += 1
+            yield "abc" * 20, "abd" * 20
+
+    stream = scoring._alignments(endless(), "char", False)
+    ref, first = next(stream)
+    assert first == align("abc" * 20, "abd" * 20)
+    assert drawn == scoring._LANE_BITS // 64 + 1

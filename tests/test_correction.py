@@ -531,6 +531,35 @@ def test_query_outside_every_profile_takes_frequency_then_length_then_word(matri
     assert OracleProfileIndex(dictionary, matrix).nearest("\u03a9\u03a9") == "ddc"
 
 
+@pytest.mark.parametrize("matrix", [None, "soft"], ids=["no-matrix", "soft"])
+def test_query_outside_every_profile_refines_no_word(monkeypatch, matrix):
+    # Arabic words share no character with a Latin dictionary, so every word
+    # is at distance exactly 1 and the pick is known before any refine
+    if matrix == "soft":
+        matrix = soft_matrix({"a": {"a": 0.5, "b": 0.5}})
+    rng = random.Random(7)
+    freq = {}
+    while len(freq) < 2000:
+        freq["".join(rng.choices("abcdefgh", k=rng.randint(2, 9)))] = rng.randrange(5)
+    dictionary = Dictionary.from_words(freq, freq=freq)
+    index = _ProfileIndex(dictionary, matrix)
+    oracle = OracleProfileIndex(dictionary, matrix)
+    scored = []
+    distances = _ProfileIndex._distances
+
+    def counting(self, rows, q, q_mass):
+        scored.append(len(rows))
+        return distances(self, rows, q, q_mass)
+
+    monkeypatch.setattr(_ProfileIndex, "_distances", counting)
+    for query in ["\u0643\u062a\u0628", "\u0633\u0644\u0627\u0645", "\u03a9"]:
+        assert index.nearest(query) == oracle.nearest(query)
+    assert scored == []
+    # one character with a profile row brings the refine back
+    assert index.nearest("\u0643a") == oracle.nearest("\u0643a")
+    assert scored
+
+
 def test_index_keeps_no_float64_profile_matrix():
     # the benchmark's size: 20k words over 28 symbols
     rng = random.Random(2)

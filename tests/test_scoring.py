@@ -83,25 +83,34 @@ class TestAlign:
         assert [type(r) for _, r, _ in a.ops] == [bool, float]
 
 
-def test_score_and_build_confusion_call_scoring_align_once_per_pair(monkeypatch):
-    # both look align up in the module at call time, so a wrapper installed
-    # there sees every alignment
-    calls = []
-    real = scoring.align
-
-    def counting(ref, hyp):
-        calls.append((ref, hyp))
-        return real(ref, hyp)
-
-    monkeypatch.setattr(scoring, "align", counting)
+def test_word_score_aligns_per_pair_and_char_paths_through_align_lanes(monkeypatch):
+    # word-unit score looks scoring.align up at call time, char-unit score
+    # and build_confusion scoring._align_lanes, so a wrapper installed there
+    # sees every pair once, in order
     pairs = [("the cat sat", "the hat sat"), ("a b", "a b c"), ("xyz", "")]
-    for unit in ("word", "char"):
-        calls.clear()
-        score(pairs, unit=unit)
-        assert len(calls) == len(pairs)
-    calls.clear()
-    build_confusion(pairs)
-    assert calls == [("the cat sat", "the hat sat"), ("a b", "a b c"), ("xyz", "")]
+    aligned = []
+    real_align = scoring.align
+
+    def counting_align(ref, hyp):
+        aligned.append((ref, hyp))
+        return real_align(ref, hyp)
+
+    monkeypatch.setattr(scoring, "align", counting_align)
+    score(pairs, unit="word")
+    assert aligned == [(ref.split(), hyp.split()) for ref, hyp in pairs]
+
+    laned = []
+    real_lanes = scoring._align_lanes
+
+    def counting_lanes(batch):
+        laned.extend(batch)
+        return real_lanes(batch)
+
+    monkeypatch.setattr(scoring, "_align_lanes", counting_lanes)
+    for run in (lambda: score(pairs, unit="char"), lambda: build_confusion(pairs)):
+        laned.clear()
+        run()
+        assert laned == pairs
 
 
 class TestScore:
