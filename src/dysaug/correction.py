@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -169,13 +170,14 @@ def build_confusion(pairs, smoothing: float = 0.5,
     pairs = list(pairs)
     if not pairs:
         raise ValueError("cannot build a confusion matrix from no pairs")
-    if smoothing <= 0:
-        raise ValueError(f"smoothing must be positive to keep rows stochastic, got {smoothing}")
+    if not 0 < smoothing < math.inf:
+        raise ValueError(
+            f"smoothing must be positive and finite to keep rows stochastic, got {smoothing}")
 
     # whole (kind, ref char, hyp char) ops are counted in C, then folded into
     # (ref char, hyp char) counts; "" stands for the missing side of an indel
     ops: Counter[tuple[str, object, object]] = Counter()
-    for _, alignment in scoring._alignments(pairs, "char", arabic_normalization):
+    for alignment in scoring._alignments(pairs, "char", arabic_normalization):
         ops.update(alignment.ops)
     counts: Counter[tuple[str, str]] = Counter()
     for (_, ref_char, hyp_char), c in ops.items():

@@ -16,11 +16,13 @@ aligned many at a time, after Hyyrö, Fredriksson & Navarro (ACM JEA 2005):
 consecutive pairs share one column step, each in its own byte-aligned lane
 of bits with at least one guard bit above its rows, so no carry or shift
 crosses from one lane into the next, and each lane keeps its own DP and
-backtrace.  A pass holds at most _LANE_BITS = 4096 bits of lanes, and the
-input is read no more than one pass ahead of what has been aligned, so
-memory does not grow with the corpus.  Word pairs are aligned one at a
-time: a pass of 5-20-word pairs measured about 0.8x the speed of `align`
-per pair, as a word pair has too few columns to repay setting up its lane.
+backtrace.  `_passes` alone plans the passes, once, as the pairs stream in:
+a pass holds at most _LANE_BITS = 4096 bits of lanes, and its column step
+costs at most twice what its pairs cost alone, so one long hypothesis does
+not drag short pairs through its columns.  Input is read at most one pass
+ahead, so memory does not grow with the corpus.  Word pairs are aligned
+one at a time: a pass of 5-20-word pairs measured about 0.8x the speed of
+`align` per pair, as a word pair has too few columns to repay its lane.
 
 Alignment and scoring are pure Python and never load numpy.
 """
@@ -67,11 +69,11 @@ class Alignment:
         """(hits, substitutions, deletions, insertions)."""
         hits = subs = dels = inss = 0
         for kind, _, _ in self.ops:
-            if kind is HIT:
+            if kind == HIT:
                 hits += 1
-            elif kind is SUBSTITUTE:
+            elif kind == SUBSTITUTE:
                 subs += 1
-            elif kind is DELETE:
+            elif kind == DELETE:
                 dels += 1
             else:
                 inss += 1
@@ -168,31 +170,30 @@ def _lane_bytes(ref) -> int:
 
 
 def _passes(pairs):
-    """Consecutive (ref, hyp) pairs, grouped into passes whose lanes fill at
-    most _LANE_BITS bits; a pair wider than that is a pass of its own."""
+    """Consecutive (ref, hyp) pairs, grouped into the passes _align_lanes runs.
+
+    A pass closes before a pair that takes its lanes past _LANE_BITS bits, or
+    its column step (lane bits times longest hypothesis) past twice the sum
+    of each lane's bits times its own hypothesis length.  A pair wider than
+    _LANE_BITS is a pass of its own."""
     batch: list = []
-    bits = 0
+    bits = longest = alone = 0
     for pair in pairs:
-        width = 8 * _lane_bytes(pair[0])
-        if batch and bits + width > _LANE_BITS:
-            yield batch
-            batch, bits = [], 0
-        batch.append(pair)
+        width, columns = 8 * _lane_bytes(pair[0]), len(pair[1])
         bits += width
+        longest = max(longest, columns)
+        alone += width * columns
+        if batch and (bits > _LANE_BITS or bits * longest > 2 * alone):
+            yield batch
+            batch, bits, longest, alone = [], width, columns, width * columns
+        batch.append(pair)
     if batch:
         yield batch
 
 
 def _align_lanes(pairs) -> list[Alignment]:
-    """[align(ref, hyp) for ref, hyp in pairs], one pass of lanes at a time."""
-    out: list[Alignment] = []
-    for batch in _passes(pairs):
-        out += _align_pass(batch) if len(batch) > 1 else [align(*batch[0])]
-    return out
-
-
-def _align_pass(pairs) -> list[Alignment]:
-    """Align several pairs with one column step per hypothesis position.
+    """[align(ref, hyp) for ref, hyp in pairs], in one column step per
+    hypothesis position; a single pair goes to `align`.
 
     Pair k owns lane k: _lane_bytes(ref) bytes from bit offset shift_k,
     its rows at the bottom and its guard bits above them.  Column j's eq
@@ -205,7 +206,9 @@ def _align_pass(pairs) -> list[Alignment]:
     row to read it).  So each lane runs its own DP.  A lane's columns past
     its hypothesis are never read.
     """
-    columns = max(len(hyp) for _, hyp in pairs)
+    if len(pairs) == 1:
+        return [align(*pairs[0])]
+    columns = max((len(hyp) for _, hyp in pairs), default=0)
     lanes = []
     shifts = []
     shift = mask = lows = 0
@@ -278,7 +281,9 @@ def normalize_arabic(text: str) -> str:
     return text.translate(_ARABIC_STRIP)
 
 
-def _tokens(text: str, unit: str):
+def _tokens(text: str, unit: str, arabic_normalization: bool):
+    if arabic_normalization:
+        text = normalize_arabic(text)
     if unit == "word":
         return text.split()
     # collapse whitespace runs so formatting noise never counts as errors
@@ -286,39 +291,32 @@ def _tokens(text: str, unit: str):
 
 
 def _alignments(pairs, unit: str, arabic_normalization: bool):
-    """Yield (ref tokens, alignment) per (ref, hyp) pair, in order; a bad unit
-    raises first.  Characters are aligned a pass of lanes at a time, so no
+    """Yield the alignment of each (ref, hyp) pair, in order; a bad unit
+    raises first.  Characters are aligned a planned pass at a time, so no
     more than one pass of pairs is read ahead; words one pair at a time."""
     if unit not in ("word", "char"):
         raise ValueError(f"unit must be 'word' or 'char', got {unit!r}")
-    tokens = _token_pairs(pairs, unit, arabic_normalization)
+    tokens = ((_tokens(ref, unit, arabic_normalization), _tokens(hyp, unit, arabic_normalization))
+              for ref, hyp in pairs)
     if unit == "word":
         for ref, hyp in tokens:
-            yield ref, align(ref, hyp)
+            yield align(ref, hyp)
         return
     for batch in _passes(tokens):
-        for (ref, _), alignment in zip(batch, _align_lanes(batch)):
-            yield ref, alignment
-
-
-def _token_pairs(pairs, unit: str, arabic_normalization: bool):
-    for ref_text, hyp_text in pairs:
-        if arabic_normalization:
-            ref_text = normalize_arabic(ref_text)
-            hyp_text = normalize_arabic(hyp_text)
-        yield _tokens(ref_text, unit), _tokens(hyp_text, unit)
+        yield from _align_lanes(batch)
 
 
 def score(pairs, unit: str = "word", arabic_normalization: bool = False) -> ScoreReport:
     """Aggregate WER (unit='word') or CER (unit='char') over (ref, hyp) pairs."""
-    hits = subs = dels = inss = ref_length = 0
-    for ref, alignment in _alignments(pairs, unit, arabic_normalization):
+    hits = subs = dels = inss = 0
+    for alignment in _alignments(pairs, unit, arabic_normalization):
         h, s, d, i = alignment.counts()
         hits += h
         subs += s
         dels += d
         inss += i
-        ref_length += len(ref)
+    # every reference token is a hit, a substitution or a deletion
+    ref_length = hits + subs + dels
     if ref_length == 0:
         raise ValueError("cannot score: every reference is empty")
     return ScoreReport(subs, inss, dels, hits, ref_length)

@@ -1,5 +1,6 @@
 """The bit-parallel `align`, and `_align_lanes`, which runs many pairs in
-one column step, against the cost-table DP they replaced.
+one column step, against the cost-table DP they replaced; and `_passes`,
+which plans those passes, against its two bounds.
 
 All must give the same edit script, tie-breaks included, and the same
 distance, for characters and word tokens, empty sides, Arabic with
@@ -7,11 +8,13 @@ harakat, and reference lengths on either side of the 64- and 128-bit
 word boundaries of the column vectors.
 """
 
+import tracemalloc
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dysaug import scoring
-from dysaug.scoring import align, normalize_arabic
+from dysaug.scoring import align, normalize_arabic, score
 
 from ._align_oracle import oracle_align
 
@@ -130,7 +133,7 @@ def test_lanes_match_align_and_oracle(drawn):
               for ref, hyp in batch]
     got = scoring._align_lanes(tokens)
     assert got == [align(ref, hyp) for ref, hyp in tokens]
-    assert [a for _, a in scoring._alignments(batch, "char", arabic_normalization)] == got
+    assert list(scoring._alignments(batch, "char", arabic_normalization)) == got
     for (ref, hyp), alignment in dict(zip(tokens, got)).items():
         want = oracle_align(ref, hyp)
         assert alignment.ops == want.ops
@@ -143,21 +146,21 @@ def test_a_batch_wider_than_lane_bits_runs_in_passes(monkeypatch):
     batch = [("abc" * 30, "abd" * 31)] * 85
     want = align(*batch[0])
     passes = []
-    real_pass, real_align = scoring._align_pass, scoring.align
+    real_lanes, real_align = scoring._align_lanes, scoring.align
 
-    def counting_pass(pass_pairs):
+    def counting_lanes(pass_pairs):
         passes.append(len(pass_pairs))
         assert lane_bits(pass_pairs) <= scoring._LANE_BITS
-        return real_pass(pass_pairs)
+        return real_lanes(pass_pairs)
 
     def counting_align(ref, hyp):
-        passes.append(1)
+        passes.append("align")
         return real_align(ref, hyp)
 
-    monkeypatch.setattr(scoring, "_align_pass", counting_pass)
+    monkeypatch.setattr(scoring, "_align_lanes", counting_lanes)
     monkeypatch.setattr(scoring, "align", counting_align)
-    assert scoring._align_lanes(batch) == [want] * 85
-    assert passes == [42, 42, 1]
+    assert list(scoring._alignments(batch, "char", False)) == [want] * 85
+    assert passes == [42, 42, 1, "align"]
 
 
 def test_char_alignments_read_at_most_one_pass_ahead():
@@ -172,6 +175,68 @@ def test_char_alignments_read_at_most_one_pass_ahead():
             yield "abc" * 20, "abd" * 20
 
     stream = scoring._alignments(endless(), "char", False)
-    ref, first = next(stream)
+    first = next(stream)
     assert first == align("abc" * 20, "abd" * 20)
     assert drawn == scoring._LANE_BITS // 64 + 1
+
+
+def column_step(batch):
+    """(lane bits, lane bits x longest hypothesis, sum of lane bits x own
+    hypothesis) of one pass."""
+    bits = lane_bits(batch)
+    alone = sum(8 * (len(ref) // 8 + 1) * len(hyp) for ref, hyp in batch)
+    return bits, bits * max(len(hyp) for _, hyp in batch), alone
+
+
+def within_bounds(batch):
+    bits, step, alone = column_step(batch)
+    return bits <= scoring._LANE_BITS and step <= 2 * alone
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(lengths(600), st.one_of(st.integers(0, 20), st.integers(0, 3000))),
+                max_size=80))
+def test_passes_keep_order_and_both_bounds(sizes):
+    # skewed hypothesis lengths: mostly short, some up to 150x longer
+    pairs = [(("abc" * m)[:m], ("abd" * n)[:n]) for m, n in sizes]
+    passes = list(scoring._passes(iter(pairs)))
+    assert [pair for batch in passes for pair in batch] == pairs
+    for batch in passes:
+        assert batch and (len(batch) == 1 or within_bounds(batch))
+    # a pass closes only where the next pair would break a bound
+    for batch, after in zip(passes, passes[1:]):
+        assert not within_bounds(batch + after[:1])
+    if sum(n for _, n in sizes) <= 6000:
+        assert list(scoring._alignments(pairs, "char", False)) == [align(*p) for p in pairs]
+
+
+def test_one_long_hypothesis_is_a_pass_of_its_own(monkeypatch):
+    # 40 short pairs and one 20,000-character hypothesis: packing the long
+    # one with the others would step all 41 lanes through its columns
+    batch = [("the cat sat", "the hat sat")] * 40 + [("abc", "x" * 20_000)]
+    passes = []
+    real_lanes = scoring._align_lanes
+
+    def counting_lanes(pass_pairs):
+        passes.append(len(pass_pairs))
+        return real_lanes(pass_pairs)
+
+    monkeypatch.setattr(scoring, "_align_lanes", counting_lanes)
+    assert list(scoring._alignments(batch, "char", False)) == [align(*p) for p in batch]
+    assert passes == [40, 1]
+    monkeypatch.undo()
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def alone():
+        for ref, hyp in batch:
+            align(ref, hyp).counts()
+
+    alone_peak = peak(alone)
+    assert peak(lambda: score(batch, unit="char")) <= 1.25 * alone_peak

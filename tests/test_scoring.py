@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import pickle
 import random
 import re
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from dysaug import align, build_confusion, normalize_arabic, score, scoring
-from dysaug.scoring import DELETE, HIT, INSERT, SUBSTITUTE
+from dysaug.scoring import DELETE, HIT, INSERT, SUBSTITUTE, Alignment
 
 
 def brute_distance(ref, hyp):
@@ -81,6 +83,18 @@ class TestAlign:
         a = align([True, 1.0], [1])
         assert a.ops == [(DELETE, True, None), (HIT, 1.0, 1)]
         assert [type(r) for _, r, _ in a.ops] == [bool, float]
+
+    # a rebuilt alignment holds equal, not identical, op kinds
+    def test_counts_survive_pickle_and_json_round_trips(self):
+        a = align("abcd", "bxdy")
+        assert a.counts() == (2, 1, 1, 1)
+        pickled = pickle.loads(pickle.dumps(a))
+        data = json.loads(json.dumps(dataclasses.asdict(a)))
+        from_json = Alignment([tuple(op) for op in data["ops"]], data["distance"])
+        for back in (pickled, from_json):
+            assert back == a
+            assert back.counts() == a.counts()
+        assert pickle.loads(pickle.dumps(align("ab", "a"))).counts() == (1, 0, 1, 0)
 
 
 def test_word_score_aligns_per_pair_and_char_paths_through_align_lanes(monkeypatch):
@@ -225,6 +239,11 @@ class TestBuildConfusion:
     def test_bad_smoothing(self):
         with pytest.raises(ValueError, match="smoothing"):
             build_confusion([("a", "a")], smoothing=0.0)
+
+    @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_smoothing_must_be_positive_and_finite(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing must be positive and finite"):
+            build_confusion([("a", "a")], smoothing=smoothing)
 
     def test_save_load_round_trip(self, tmp_path):
         from dysaug import ConfusionMatrix
