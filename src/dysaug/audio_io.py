@@ -2,14 +2,14 @@
 
 Everything downstream works on float amplitudes in [-1, 1] at a declared
 sample rate, so this module is the only place that knows about RIFF/WAVE
-containers and PCM scaling.
+containers and PCM scaling: `read_wav` parses their headers and `write_wav`
+packs its own.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-import wave
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -65,9 +65,13 @@ _FORMAT_TAG_NAMES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Waveform:
     """Mono audio: float32 amplitudes in [-1, 1] plus a sample rate in Hz.
+
+    The rate is a positive integer (a Python int or a numpy integer, stored
+    as an int).  Waveforms compare and hash by identity, as their samples
+    are an array.
 
     Building one copies the samples into a new float32 array, never a view of
     the caller's, and clips them there; only `read_wav`, which holds the
@@ -106,8 +110,12 @@ class Waveform:
         lo, hi = (float(samples.min()), float(samples.max())) if samples.size else (0.0, 0.0)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("non-finite samples (NaN or Inf)")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)):
+            raise ValueError(f"sample_rate must be an integer, got {rate!r}")
+        if rate <= 0:
+            raise ValueError(f"sample_rate must be positive, got {rate}")
+        object.__setattr__(self, "sample_rate", int(rate))
         if lo < -1.0 or hi > 1.0:
             np.clip(samples, -1.0, 1.0, out=samples)
         samples.flags.writeable = False
@@ -122,26 +130,15 @@ class Waveform:
         return len(self.samples) / self.sample_rate
 
 
-def _parse_fmt_chunk(body: bytes, path) -> tuple[int, int, int, int]:
-    if len(body) < 16:
-        raise WavFormatError(f"{path}: fmt chunk too short: {len(body)} bytes")
-    format_tag, channels, rate, _byte_rate, _block_align, bits = struct.unpack("<HHIIHH", body[:16])
-    if format_tag == 0xFFFE:  # WAVE_FORMAT_EXTENSIBLE: real tag sits in the sub-format GUID
-        if len(body) < 26:
-            raise WavFormatError(f"{path}: extensible fmt chunk missing sub-format")
-        format_tag = struct.unpack("<H", body[24:26])[0]
-    return format_tag, channels, rate, bits
-
-
 def read_wav(path) -> Waveform:
     """Read a RIFF/WAVE file as a mono waveform.
 
-    Accepts 16-bit PCM and 32-bit IEEE float, any channel count.
-    Multi-channel audio is downmixed to the per-frame mean: channels are
-    added in order (in float32 for float data, float64 for PCM16), then
-    divided by their count.  PCM16 is then scaled by 1/32768 in place:
-    a mix in float64, a mono clip in float32, where the scaled value of
-    every int16 is exact.
+    Accepts 16-bit PCM and 32-bit IEEE float, any channel count.  Every
+    layout is decoded by one loop over the channels: they are added in
+    order (in float64 for a PCM16 mix, in float32 otherwise), the sum is
+    divided by the channel count when there is more than one, and PCM16 is
+    then scaled by 1/32768, which is exact in either dtype.  A mono file is
+    the same loop with no additions.
 
     Raises FileNotFoundError for a missing file, WavFormatError for a
     malformed container, a non-positive declared sample rate or non-finite
@@ -155,25 +152,26 @@ def read_wav(path) -> Waveform:
     if raw[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: RIFF form type is {raw[8:12]!r}, expected b'WAVE'")
 
-    fmt_body = None
-    data_body = None
+    chunks = {}  # a repeated chunk id keeps its last body
     pos = 12
     while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
-        (size,) = struct.unpack("<I", raw[pos + 4 : pos + 8])
-        body = view[pos + 8 : pos + 8 + size]
-        if chunk_id == b"fmt ":
-            fmt_body = body
-        elif chunk_id == b"data":
-            data_body = body
+        (size,) = struct.unpack_from("<I", raw, pos + 4)
+        chunks[raw[pos : pos + 4]] = view[pos + 8 : pos + 8 + size]
         pos += 8 + size + (size & 1)  # chunks are word-aligned
-
-    if fmt_body is None:
+    fmt = chunks.get(b"fmt ")
+    data = chunks.get(b"data")
+    if fmt is None:
         raise WavFormatError(f"{path}: missing fmt chunk")
-    if data_body is None:
+    if data is None:
         raise WavFormatError(f"{path}: missing data chunk")
 
-    format_tag, channels, rate, bits = _parse_fmt_chunk(fmt_body, path)
+    if len(fmt) < 16:
+        raise WavFormatError(f"{path}: fmt chunk too short: {len(fmt)} bytes")
+    format_tag, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if format_tag == 0xFFFE:  # WAVE_FORMAT_EXTENSIBLE: real tag sits in the sub-format GUID
+        if len(fmt) < 26:
+            raise WavFormatError(f"{path}: extensible fmt chunk missing sub-format")
+        (format_tag,) = struct.unpack_from("<H", fmt, 24)
     if channels < 1:
         raise WavFormatError(f"{path}: channel count is {channels}")
 
@@ -189,29 +187,22 @@ def read_wav(path) -> Waveform:
         )
 
     frame_bytes = channels * dtype.itemsize
-    usable = len(data_body) - len(data_body) % frame_bytes
-    frames = np.frombuffer(data_body[:usable], dtype=dtype)
+    usable = len(data) - len(data) % frame_bytes
+    columns = np.frombuffer(data[:usable], dtype=dtype).reshape(-1, channels)
+    pcm = dtype.kind == "i"
+    # column by column, as np.mean's reduction does up to 7 channels, but
+    # without its strided per-frame loop; float32 sums may overflow.  The
+    # first column's cast copies it off the file's read-only bytes.
+    mixed = columns[:, 0].astype(np.float64 if pcm and channels > 1 else np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(1, channels):
+            mixed += columns[:, c]
     if channels > 1:
-        # column by column, as np.mean's reduction does up to 7 channels,
-        # but without its strided per-frame loop; float32 sums may overflow
-        columns = frames.reshape(-1, channels)
-        mixed = columns[:, 0].astype(np.float64 if dtype.kind == "i" else np.float32)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c in range(1, channels):
-                mixed += columns[:, c]
         mixed /= channels
-        if dtype.kind == "i":
-            mixed *= PCM16_READ_SCALE
-        frames = mixed.astype(np.float32, copy=False)
-    elif dtype.kind == "i":
-        # every int16 and the power-of-two scale are exact in float32, so
-        # this gives the float64 product's values with no float64 copy
-        frames = frames.astype(np.float32)
-        frames *= np.float32(PCM16_READ_SCALE)
-    else:
-        frames = frames.astype(np.float32)  # off the file's read-only bytes
+    if pcm:
+        mixed *= np.float32(PCM16_READ_SCALE)
     try:
-        return Waveform._adopt(frames, rate)
+        return Waveform._adopt(mixed.astype(np.float32, copy=False), rate)
     except ValueError as exc:
         raise WavFormatError(f"{path}: {exc}") from None
 
@@ -219,23 +210,24 @@ def read_wav(path) -> Waveform:
 def write_wav(waveform: Waveform, path) -> None:
     """Write a waveform as mono 16-bit PCM RIFF/WAVE.
 
-    Each sample a becomes rint(32768 * a) clamped to +-32767.  The product
-    is formed in float32, where it is exact for |a| <= 1, so the integers
-    are those of the float64 formula; the int16 array goes to the file as
-    it is, without a bytes copy.  A path that cannot be opened raises its
-    OSError before any wave writer exists.
+    The file is the canonical 44-byte PCM header, packed here, followed by
+    the little-endian samples.  Each sample a becomes rint(32768 * a)
+    clamped to +-32767.  The product is formed in float32, where it is
+    exact for |a| <= 1, so the integers are those of the float64 formula;
+    the int16 array goes to the file as it is, without a bytes copy.
     """
     pcm = waveform.samples * np.float32(PCM16_FULL_SCALE)
     np.rint(pcm, out=pcm)
     np.clip(pcm, -PCM16_PEAK, PCM16_PEAK, out=pcm)
-    pcm = pcm.astype(np.int16)  # native order: wave swaps it on big-endian hosts
-    # a writer that wave.open builds around a path it fails to open reports
-    # an AttributeError from its __del__ as an unraisable exception
-    with open(path, "wb") as fout, wave.open(fout, "wb") as out:
-        out.setnchannels(1)
-        out.setsampwidth(2)
-        out.setframerate(waveform.sample_rate)
-        out.writeframes(pcm)
+    pcm = pcm.astype("<i2")
+    rate, size = waveform.sample_rate, pcm.nbytes
+    # RIFF size, then a 16-byte fmt chunk: PCM, 1 channel, rate, byte rate,
+    # block align and bits per sample, then the data chunk's size
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + size, b"WAVE", b"fmt ", 16,
+                         1, 1, rate, 2 * rate, 2, 16, b"data", size)
+    with open(path, "wb") as out:
+        out.write(header)
+        out.write(pcm)
 
 
 @lru_cache(maxsize=64)

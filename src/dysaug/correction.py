@@ -60,7 +60,6 @@ class ConfusionMatrix:
     symbols: tuple[str, ...]
     probabilities: np.ndarray
     _index: dict = field(init=False, repr=False)
-    _rows: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         p = np.array(self.probabilities, dtype=np.float64)
@@ -83,9 +82,6 @@ class ConfusionMatrix:
         if len(self._index) != k:
             dup = next(s for s, n in Counter(self.symbols).items() if n > 1)
             raise ValueError(f"symbol {dup!r} appears more than once")
-        # `row`'s answers, kept per symbol on first use: building all K
-        # rows here would cost every build_confusion call about 0.2 ms
-        object.__setattr__(self, "_rows", {})
 
     def __reduce__(self):
         # rebuild through the constructor, so a copy is checked and read-only too
@@ -99,13 +95,9 @@ class ConfusionMatrix:
 
     def row(self, truth: str):
         """Nonzero (symbol, probability) entries of one row."""
-        row = self._rows.get(truth)
-        if row is None:
-            values = self.probabilities[self._index[truth]]
-            nonzero = np.flatnonzero(values).tolist()
-            row = self._rows[truth] = tuple(zip([self.symbols[j] for j in nonzero],
-                                                values[nonzero].tolist()))
-        return row
+        values = self.probabilities[self._index[truth]]
+        nonzero = np.flatnonzero(values).tolist()
+        return tuple(zip([self.symbols[j] for j in nonzero], values[nonzero].tolist()))
 
     @classmethod
     def identity(cls, alphabet) -> "ConfusionMatrix":
@@ -205,9 +197,11 @@ class Dictionary:
     freq: Mapping[str, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "words", frozenset(self.words))
         if not self.words:
             raise ValueError("dictionary must contain at least one word")
-        object.__setattr__(self, "words", frozenset(self.words))
+        if "" in self.words:
+            raise ValueError("dictionary words must not be empty")
         object.__setattr__(self, "freq", MappingProxyType(dict(self.freq)))
 
     def __reduce__(self):

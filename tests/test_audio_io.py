@@ -652,3 +652,36 @@ def test_float32_downmix_equals_mean(tmp_path, channels):
         # two float32 sums differ by rounding of partial sums of magnitude
         # <= channels, which an absolute bound covers where signs cancel
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("rate, valid", [
+    (16000, True), (np.int64(16000), True), (np.uint16(16000), True),
+    (16000.5, False), (16000.0, False), (np.float32(16000), False), (True, False), ("16000", False),
+])
+def test_waveform_takes_an_integer_rate_and_compares_by_identity(rate, valid):
+    z = np.zeros(1600)
+    if not valid:
+        with pytest.raises(ValueError, match=r"sample_rate must be an integer, got "):
+            Waveform(z, rate)
+        return
+    w, other = Waveform(z, rate), Waveform(z, rate)
+    assert type(w.sample_rate) is int and w.sample_rate == 16000
+    assert w.duration == 0.1
+    assert w == w and w != other
+    assert w in [w] and other not in [w]
+    assert len({w, other, w}) == 2
+
+
+@pytest.mark.parametrize("samples, rate, header_and_data", [
+    ([0.0, 0.5, -1.0], 16000,
+     "524946462a00000057415645666d74201000000001000100803e0000007d0000020010006461746106000000"
+     "000000400180"),
+    (np.zeros(0), 8000,
+     "524946462400000057415645666d74201000000001000100401f0000803e0000020010006461746100000000"),
+])
+def test_write_wav_bytes_are_the_canonical_pcm_header_and_samples(tmp_path, samples, rate,
+                                                                   header_and_data):
+    # byte rate and block align included, which wave's reader never checks
+    path = tmp_path / "pinned.wav"
+    write_wav(Waveform(samples, rate), path)
+    assert path.read_bytes().hex() == header_and_data

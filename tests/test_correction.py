@@ -279,6 +279,12 @@ def test_row_lists_the_nonzero_entries_in_column_order(clone):
         soft.row("z")
 
 
+@pytest.mark.parametrize("words", [[""], ["", "x"]])
+def test_dictionary_rejects_the_empty_word(words):
+    with pytest.raises(ValueError, match="must not be empty"):
+        Dictionary.from_words(words)
+
+
 class TestDictionaryFile:
     def test_load_with_frequencies(self, tmp_path):
         path = tmp_path / "dict.txt"
