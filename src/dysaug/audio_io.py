@@ -46,6 +46,9 @@ KAISER_BETA = 8.6
 # more than 6.8 MiB of tiles (757,992 Hz, 2000/94749)
 RATE_RANGE = (1000, 768000)
 MAX_PHASES = 2000
+# the highest rate whose byte rate (2 bytes a sample, one channel) fits the
+# 32-bit field of a RIFF fmt chunk
+MAX_WAV_RATE = (2**32 - 1) // 2
 
 
 class WavFormatError(ValueError):
@@ -215,7 +218,13 @@ def write_wav(waveform: Waveform, path) -> None:
     clamped to +-32767.  The product is formed in float32, where it is
     exact for |a| <= 1, so the integers are those of the float64 formula;
     the int16 array goes to the file as it is, without a bytes copy.
+
+    A rate above MAX_WAV_RATE raises ValueError before the file is opened:
+    the header holds the byte rate, 2 * rate, in 32 bits.
     """
+    if waveform.sample_rate > MAX_WAV_RATE:
+        raise ValueError(f"sample rate {waveform.sample_rate} Hz does not fit a WAV header "
+                         f"(at most {MAX_WAV_RATE} Hz)")
     pcm = waveform.samples * np.float32(PCM16_FULL_SCALE)
     np.rint(pcm, out=pcm)
     np.clip(pcm, -PCM16_PEAK, PCM16_PEAK, out=pcm)

@@ -166,14 +166,23 @@ def build_confusion(pairs, smoothing: float = 0.5,
         raise ValueError(
             f"smoothing must be positive and finite to keep rows stochastic, got {smoothing}")
 
-    # whole (kind, ref char, hyp char) ops are counted in C, then folded into
-    # (ref char, hyp char) counts; "" stands for the missing side of an indel
-    ops: Counter[tuple[str, object, object]] = Counter()
-    for alignment in scoring._alignments(pairs, "char", arabic_normalization):
-        ops.update(alignment.ops)
+    # reference characters and whole (kind, ref char, hyp char) edits are
+    # counted in C, then the edits folded into (ref char, hyp char) counts;
+    # "" stands for the missing side of an indel
+    refs: Counter[str] = Counter()
+    edits: Counter[tuple[str, object, object]] = Counter()
+    for ref, ops in scoring._edits(pairs, "char", arabic_normalization):
+        refs.update(ref)
+        edits.update(ops)
     counts: Counter[tuple[str, str]] = Counter()
-    for (_, ref_char, hyp_char), c in ops.items():
+    for (_, ref_char, hyp_char), c in edits.items():
         counts[ref_char or "", hyp_char or ""] += c
+        if ref_char:
+            refs[ref_char] -= c
+    # a reference character that was neither substituted nor deleted was a hit
+    for char, c in refs.items():
+        if c:
+            counts[char, char] = c
 
     symbols = ("",) + tuple(sorted({c for pair in counts for c in pair} - {""}))
     index = {s: i for i, s in enumerate(symbols)}

@@ -24,6 +24,14 @@ ahead, so memory does not grow with the corpus.  Word pairs are aligned
 one at a time: a pass of 5-20-word pairs measured about 0.8x the speed of
 `align` per pair, as a word pair has too few columns to repay its lane.
 
+`score` and `build_confusion` never build an `Alignment` and never call
+`align`.  Their backtrace takes the same moves but records only the
+substitutions, deletions and insertions; hits, most of the moves, are
+walked over.  Every reference token is a hit, a substitution or a
+deletion, so `score` takes hits = len(ref) - S - D, and `build_confusion`
+takes a character's hits as its count in the references less its
+substitutions and deletions.
+
 Alignment and scoring are pure Python and never load numpy.
 """
 
@@ -98,6 +106,11 @@ def align(ref, hyp) -> Alignment:
     itself, and 1 matches 1.0).  Ties during backtrace prefer hit, then
     substitute, then delete, then insert.
     """
+    return Alignment(*_align(ref, hyp, True))
+
+
+def _align(ref, hyp, hits: bool):
+    """(ops, distance) of `align(ref, hyp)`, with its hit ops only if `hits`."""
     peq = _match_bits(ref)
     mask = (1 << len(ref)) - 1
     # Column j of the cost table d, one bit per row (Myers 1999, in Hyyrö's
@@ -117,14 +130,16 @@ def align(ref, hyp) -> Alignment:
         vp = (hn | mask ^ (xv | hp)) & mask
         vn = hp & xv
         cols.append((vp, vn, hp, hn))
-    return _backtrace(ref, hyp, cols, 0, len(hyp) + vp.bit_count() - vn.bit_count())
+    distance = len(hyp) + vp.bit_count() - vn.bit_count()
+    return _backtrace(ref, hyp, cols, 0, distance, hits), distance
 
 
-def _backtrace(ref, hyp, cols, shift: int, distance: int) -> Alignment:
-    """The edit script from d[len(ref)][len(hyp)] == distance back to d[0][0].
+def _backtrace(ref, hyp, cols, shift: int, distance: int, hits: bool) -> list:
+    """The ops from d[len(ref)][len(hyp)] == distance back to d[0][0], in
+    order; hit ops are walked over but recorded only if `hits`.
 
     cols[j] holds column j's (vp, vn, hp, hn) for j >= 1, with row i of
-    the pair's table at bit shift + i - 1 (its lane's offset; 0 in `align`).
+    the pair's table at bit shift + i - 1 (its lane's offset; 0 in `_align`).
     """
     i, j = len(ref), len(hyp)
     cur = distance
@@ -135,7 +150,8 @@ def _backtrace(ref, hyp, cols, shift: int, distance: int) -> Alignment:
         if r is h or r == h:
             # tokens equal as dict keys force d[i][j] == d[i-1][j-1], so a
             # hit is taken without reading the columns
-            ops.append((HIT, r, h))
+            if hits:
+                ops.append((HIT, r, h))
             i -= 1
             j -= 1
             continue
@@ -161,7 +177,7 @@ def _backtrace(ref, hyp, cols, shift: int, distance: int) -> Alignment:
         j -= 1
         ops.append((INSERT, None, hyp[j]))
     ops.reverse()
-    return Alignment(ops=ops, distance=distance)
+    return ops
 
 
 def _lane_bytes(ref) -> int:
@@ -191,15 +207,15 @@ def _passes(pairs):
         yield batch
 
 
-def _align_lanes(pairs) -> list[Alignment]:
-    """[align(ref, hyp) for ref, hyp in pairs], in one column step per
-    hypothesis position; a single pair goes to `align`.
+def _align_lanes(pairs, hits: bool) -> list:
+    """[_align(ref, hyp, hits) for ref, hyp in pairs], in one column step per
+    hypothesis position; a single pair goes to `_align`.
 
     Pair k owns lane k: _lane_bytes(ref) bytes from bit offset shift_k,
     its rows at the bottom and its guard bits above them.  Column j's eq
     joins every lane's match bytes for its hypothesis token j (zero bytes
     once that hypothesis has ended) into one int; `lows`, bit 0 of every
-    non-empty lane, stands in for `align`'s | 1.  A carry out of a lane's
+    non-empty lane, stands in for `_align`'s | 1.  A carry out of a lane's
     top row stops in its guard bit, which vp and vn never hold (the final
     & mask clears it).  A guard bit shifted up lands in padding, or on bit
     0 of the next lane's hp, which | lows sets anyway (an empty lane has no
@@ -207,7 +223,7 @@ def _align_lanes(pairs) -> list[Alignment]:
     its hypothesis are never read.
     """
     if len(pairs) == 1:
-        return [align(*pairs[0])]
+        return [_align(*pairs[0], hits)]
     columns = max((len(hyp) for _, hyp in pairs), default=0)
     lanes = []
     shifts = []
@@ -223,7 +239,7 @@ def _align_lanes(pairs) -> list[Alignment]:
             lows |= 1 << shift
         shift += 8 * size
 
-    # the step of `align`, on every lane at once; lane k of the joined
+    # the step of `_align`, on every lane at once; lane k of the joined
     # little-endian bytes is bits shift_k and up
     join, from_bytes = b"".join, int.from_bytes
     vp, vn = mask, 0
@@ -243,7 +259,7 @@ def _align_lanes(pairs) -> list[Alignment]:
         vp, vn = cols[len(hyp)][:2]
         rows = ((1 << len(ref)) - 1) << shift
         distance = len(hyp) + (vp & rows).bit_count() - (vn & rows).bit_count()
-        out.append(_backtrace(ref, hyp, cols, shift, distance))
+        out.append((_backtrace(ref, hyp, cols, shift, distance, hits), distance))
     return out
 
 
@@ -290,33 +306,37 @@ def _tokens(text: str, unit: str, arabic_normalization: bool):
     return " ".join(text.split())
 
 
-def _alignments(pairs, unit: str, arabic_normalization: bool):
-    """Yield the alignment of each (ref, hyp) pair, in order; a bad unit
-    raises first.  Characters are aligned a planned pass at a time, so no
-    more than one pass of pairs is read ahead; words one pair at a time."""
+def _edits(pairs, unit: str, arabic_normalization: bool):
+    """Yield (ref tokens, edit ops) of each (ref, hyp) pair, in order: the
+    ops of its `align` without the hits.  A bad unit raises first.
+    Characters are aligned a planned pass at a time, so no more than one
+    pass of pairs is read ahead; words one pair at a time."""
     if unit not in ("word", "char"):
         raise ValueError(f"unit must be 'word' or 'char', got {unit!r}")
     tokens = ((_tokens(ref, unit, arabic_normalization), _tokens(hyp, unit, arabic_normalization))
               for ref, hyp in pairs)
     if unit == "word":
         for ref, hyp in tokens:
-            yield align(ref, hyp)
+            yield ref, _align(ref, hyp, False)[0]
         return
     for batch in _passes(tokens):
-        yield from _align_lanes(batch)
+        for (ref, _), (ops, _) in zip(batch, _align_lanes(batch, False)):
+            yield ref, ops
 
 
 def score(pairs, unit: str = "word", arabic_normalization: bool = False) -> ScoreReport:
     """Aggregate WER (unit='word') or CER (unit='char') over (ref, hyp) pairs."""
-    hits = subs = dels = inss = 0
-    for alignment in _alignments(pairs, unit, arabic_normalization):
-        h, s, d, i = alignment.counts()
-        hits += h
-        subs += s
-        dels += d
-        inss += i
-    # every reference token is a hit, a substitution or a deletion
-    ref_length = hits + subs + dels
+    ref_length = subs = dels = inss = 0
+    for ref, ops in _edits(pairs, unit, arabic_normalization):
+        ref_length += len(ref)
+        for kind, _, _ in ops:
+            if kind == SUBSTITUTE:
+                subs += 1
+            elif kind == DELETE:
+                dels += 1
+            else:
+                inss += 1
     if ref_length == 0:
         raise ValueError("cannot score: every reference is empty")
-    return ScoreReport(subs, inss, dels, hits, ref_length)
+    # every reference token is a hit, a substitution or a deletion
+    return ScoreReport(subs, inss, dels, ref_length - subs - dels, ref_length)

@@ -1,20 +1,26 @@
 """The bit-parallel `align`, and `_align_lanes`, which runs many pairs in
-one column step, against the cost-table DP they replaced; and `_passes`,
-which plans those passes, against its two bounds.
+one column step, against the cost-table DP they replaced; `_passes`,
+which plans those passes, against its two bounds; and `score` and
+`build_confusion`, which record only the edits and derive the hits,
+against counts taken from that DP's edit scripts.
 
 All must give the same edit script, tie-breaks included, and the same
 distance, for characters and word tokens, empty sides, Arabic with
 harakat, and reference lengths on either side of the 64- and 128-bit
-word boundaries of the column vectors.
+word boundaries of the column vectors.  Without hits recorded, the
+script is the same with its hits left out.
 """
 
 import tracemalloc
+from collections import Counter
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dysaug import scoring
-from dysaug.scoring import align, normalize_arabic, score
+from dysaug import build_confusion, scoring
+from dysaug.scoring import DELETE, HIT, INSERT, SUBSTITUTE, align, normalize_arabic, score
 
 from ._align_oracle import oracle_align
 
@@ -61,6 +67,11 @@ def pairs(draw, alphabet):
     ref = draw(sequences(alphabet))
     hyp = draw(st.one_of(sequences(alphabet), edited(ref, alphabet)))
     return ref, hyp
+
+
+def edits(alignment):
+    """An alignment's ops without its hits, as `_edits` yields them."""
+    return [op for op in alignment.ops if op[0] != HIT]
 
 
 def check(ref, hyp):
@@ -131,10 +142,12 @@ def test_lanes_match_align_and_oracle(drawn):
     batch, arabic_normalization = drawn
     tokens = [(chars(ref, arabic_normalization), chars(hyp, arabic_normalization))
               for ref, hyp in batch]
-    got = scoring._align_lanes(tokens)
-    assert got == [align(ref, hyp) for ref, hyp in tokens]
-    assert list(scoring._alignments(batch, "char", arabic_normalization)) == got
-    for (ref, hyp), alignment in dict(zip(tokens, got)).items():
+    want = [align(ref, hyp) for ref, hyp in tokens]
+    assert scoring._align_lanes(tokens, True) == [(a.ops, a.distance) for a in want]
+    assert scoring._align_lanes(tokens, False) == [(edits(a), a.distance) for a in want]
+    assert list(scoring._edits(batch, "char", arabic_normalization)) == [
+        (ref, edits(a)) for (ref, _), a in zip(tokens, want)]
+    for (ref, hyp), alignment in dict(zip(tokens, want)).items():
         want = oracle_align(ref, hyp)
         assert alignment.ops == want.ops
         assert alignment.distance == want.distance
@@ -142,24 +155,24 @@ def test_lanes_match_align_and_oracle(drawn):
 
 def test_a_batch_wider_than_lane_bits_runs_in_passes(monkeypatch):
     # 90 characters take a 96-bit lane, so a pass holds 42 pairs and the
-    # 85th pair is a pass of its own, which `align` takes
+    # 85th pair is a pass of its own, which `_align` takes
     batch = [("abc" * 30, "abd" * 31)] * 85
-    want = align(*batch[0])
+    want = (batch[0][0], edits(align(*batch[0])))
     passes = []
-    real_lanes, real_align = scoring._align_lanes, scoring.align
+    real_lanes, real_align = scoring._align_lanes, scoring._align
 
-    def counting_lanes(pass_pairs):
+    def counting_lanes(pass_pairs, hits):
         passes.append(len(pass_pairs))
         assert lane_bits(pass_pairs) <= scoring._LANE_BITS
-        return real_lanes(pass_pairs)
+        return real_lanes(pass_pairs, hits)
 
-    def counting_align(ref, hyp):
+    def counting_align(ref, hyp, hits):
         passes.append("align")
-        return real_align(ref, hyp)
+        return real_align(ref, hyp, hits)
 
     monkeypatch.setattr(scoring, "_align_lanes", counting_lanes)
-    monkeypatch.setattr(scoring, "align", counting_align)
-    assert list(scoring._alignments(batch, "char", False)) == [want] * 85
+    monkeypatch.setattr(scoring, "_align", counting_align)
+    assert list(scoring._edits(batch, "char", False)) == [want] * 85
     assert passes == [42, 42, 1, "align"]
 
 
@@ -174,9 +187,9 @@ def test_char_alignments_read_at_most_one_pass_ahead():
             drawn += 1
             yield "abc" * 20, "abd" * 20
 
-    stream = scoring._alignments(endless(), "char", False)
+    stream = scoring._edits(endless(), "char", False)
     first = next(stream)
-    assert first == align("abc" * 20, "abd" * 20)
+    assert first == ("abc" * 20, edits(align("abc" * 20, "abd" * 20)))
     assert drawn == scoring._LANE_BITS // 64 + 1
 
 
@@ -207,7 +220,8 @@ def test_passes_keep_order_and_both_bounds(sizes):
     for batch, after in zip(passes, passes[1:]):
         assert not within_bounds(batch + after[:1])
     if sum(n for _, n in sizes) <= 6000:
-        assert list(scoring._alignments(pairs, "char", False)) == [align(*p) for p in pairs]
+        assert list(scoring._edits(pairs, "char", False)) == [
+            (ref, edits(align(ref, hyp))) for ref, hyp in pairs]
 
 
 def test_one_long_hypothesis_is_a_pass_of_its_own(monkeypatch):
@@ -217,12 +231,13 @@ def test_one_long_hypothesis_is_a_pass_of_its_own(monkeypatch):
     passes = []
     real_lanes = scoring._align_lanes
 
-    def counting_lanes(pass_pairs):
+    def counting_lanes(pass_pairs, hits):
         passes.append(len(pass_pairs))
-        return real_lanes(pass_pairs)
+        return real_lanes(pass_pairs, hits)
 
     monkeypatch.setattr(scoring, "_align_lanes", counting_lanes)
-    assert list(scoring._alignments(batch, "char", False)) == [align(*p) for p in batch]
+    assert list(scoring._edits(batch, "char", False)) == [
+        (ref, edits(align(ref, hyp))) for ref, hyp in batch]
     assert passes == [40, 1]
     monkeypatch.undo()
 
@@ -240,3 +255,92 @@ def test_one_long_hypothesis_is_a_pass_of_its_own(monkeypatch):
 
     alone_peak = peak(alone)
     assert peak(lambda: score(batch, unit="char")) <= 1.25 * alone_peak
+
+
+@st.composite
+def text_batches(draw):
+    """A few (ref, hyp) texts of at most 40 tokens from one alphabet, Latin
+    or Arabic with harakat, both with spaces so word units differ."""
+    alphabet = draw(st.sampled_from(["abcdefghij ", ARABIC + " "]))
+    tokens = st.lists(st.sampled_from(alphabet), max_size=40)
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        ref = draw(tokens)
+        hyp = draw(st.one_of(tokens, edited(ref, alphabet)))
+        batch.append(("".join(ref), "".join(hyp)))
+    return batch
+
+
+def oracle_ops(batch, unit, arabic_normalization):
+    """Every op, hits included, of the cost-table DP's script of each pair,
+    on the tokens `score` and `build_confusion` align."""
+    for ref, hyp in batch:
+        ref, hyp = chars(ref, arabic_normalization), chars(hyp, arabic_normalization)
+        if unit == "word":
+            ref, hyp = ref.split(), hyp.split()
+        yield from oracle_align(ref, hyp).ops
+
+
+def oracle_matrix(batch, arabic_normalization, smoothing=0.5):
+    """(symbols, probabilities) counted from every oracle op, hits included,
+    and normalized as `build_confusion` documents."""
+    counts = Counter((r or "", h or "") for _, r, h in oracle_ops(batch, "char",
+                                                                   arabic_normalization))
+    symbols = ("",) + tuple(sorted({c for pair in counts for c in pair} - {""}))
+    index = {s: i for i, s in enumerate(symbols)}
+    matrix = np.zeros((len(symbols), len(symbols)))
+    for (a, b), c in counts.items():
+        matrix[index[a], index[b]] = c
+    matrix += smoothing
+    return symbols, matrix / matrix.sum(axis=1, keepdims=True)
+
+
+# x is substituted once and deleted twice, never a hit
+NEVER_A_HIT = [("axb", "ayb"), ("xc", "c"), ("ax", "a")]
+# z is only ever inserted, so it has no reference count to derive hits from
+ONLY_INSERTED = [("ab", "azb"), ("", "z")]
+EMPTY_SIDES = [("", ""), ("", "ab"), ("ab", ""), ("a b", "a b")]
+
+
+EXPLICIT = [
+    (NEVER_A_HIT, False),
+    (ONLY_INSERTED, False),
+    (NEVER_A_HIT + ONLY_INSERTED, True),
+    (EMPTY_SIDES, False),
+    ([("", ""), ("", "xy")], False),
+    ([("كُتُب", "كتب"), ("كتب كُتُب", "كتب")], False),
+    ([("كُتُب", "كتب"), ("كتب كُتُب", "كتب")], True),
+]
+
+
+def derived_hit_cases(test):
+    """Run `test(batch, arabic_normalization)` on drawn batches and on EXPLICIT."""
+    for batch, arabic_normalization in EXPLICIT:
+        test = example(batch, arabic_normalization)(test)
+    return settings(max_examples=150, deadline=None)(given(text_batches(), st.booleans())(test))
+
+
+# score and build_confusion record only the edits; the hits they derive
+# from the references must be the oracle's hit ops
+
+
+@derived_hit_cases
+def test_confusion_counts_match_the_oracle(batch, arabic_normalization):
+    symbols, probabilities = oracle_matrix(batch, arabic_normalization)
+    matrix = build_confusion(batch, arabic_normalization=arabic_normalization)
+    assert matrix.symbols == symbols
+    assert np.array_equal(matrix.probabilities, probabilities)
+
+
+@derived_hit_cases
+def test_score_counts_match_the_oracle(batch, arabic_normalization):
+    for unit in ("word", "char"):
+        kinds = Counter(kind for kind, _, _ in oracle_ops(batch, unit, arabic_normalization))
+        want = (kinds[SUBSTITUTE], kinds[INSERT], kinds[DELETE], kinds[HIT])
+        if not kinds[HIT] + kinds[SUBSTITUTE] + kinds[DELETE]:
+            with pytest.raises(ValueError, match="every reference is empty"):
+                score(batch, unit, arabic_normalization)
+            continue
+        report = score(batch, unit, arabic_normalization)
+        assert (report.substitutions, report.insertions, report.deletions, report.hits) == want
+        assert report.ref_length == sum(want) - report.insertions

@@ -527,6 +527,16 @@ class TestWaveform:
             write_wav(Waveform([0.5, np.nan, -0.5] * 100, 16000), path)
         assert not path.exists()
 
+    def test_rate_whose_byte_rate_overflows_the_header_fails_before_writing(self, tmp_path):
+        # the header holds the byte rate, 2 * rate, in 32 bits
+        path = tmp_path / "fast.wav"
+        with pytest.raises(ValueError, match=rf"sample rate {2**31} Hz .*at most {2**31 - 1} Hz"):
+            write_wav(Waveform(np.zeros(2), 2**31), path)
+        assert not path.exists()
+        write_wav(Waveform(np.zeros(2), 2**31 - 1), path)
+        with wave.open(str(path)) as fin:
+            assert fin.getframerate() == 2**31 - 1
+
     def test_clips_to_unit_range(self):
         w = Waveform([1.5, -2.0, 0.5], 16000)
         np.testing.assert_array_equal(w.samples, [1.0, -1.0, 0.5])

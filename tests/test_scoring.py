@@ -98,27 +98,33 @@ class TestAlign:
 
 
 def test_word_score_aligns_per_pair_and_char_paths_through_align_lanes(monkeypatch):
-    # word-unit score looks scoring.align up at call time, char-unit score
+    # word-unit score looks scoring._align up at call time, char-unit score
     # and build_confusion scoring._align_lanes, so a wrapper installed there
-    # sees every pair once, in order
+    # sees every pair once, in order, with no hits asked for; none of them
+    # calls the public align
     pairs = [("the cat sat", "the hat sat"), ("a b", "a b c"), ("xyz", "")]
     aligned = []
-    real_align = scoring.align
+    real_align = scoring._align
 
-    def counting_align(ref, hyp):
-        aligned.append((ref, hyp))
-        return real_align(ref, hyp)
+    def counting_align(ref, hyp, hits):
+        aligned.append((ref, hyp, hits))
+        return real_align(ref, hyp, hits)
 
-    monkeypatch.setattr(scoring, "align", counting_align)
+    def no_align(ref, hyp):
+        raise AssertionError("scoring.align called")
+
+    monkeypatch.setattr(scoring, "align", no_align)
+    monkeypatch.setattr(scoring, "_align", counting_align)
     score(pairs, unit="word")
-    assert aligned == [(ref.split(), hyp.split()) for ref, hyp in pairs]
+    assert aligned == [(ref.split(), hyp.split(), False) for ref, hyp in pairs]
 
     laned = []
     real_lanes = scoring._align_lanes
 
-    def counting_lanes(batch):
+    def counting_lanes(batch, hits):
+        assert not hits
         laned.extend(batch)
-        return real_lanes(batch)
+        return real_lanes(batch, hits)
 
     monkeypatch.setattr(scoring, "_align_lanes", counting_lanes)
     for run in (lambda: score(pairs, unit="char"), lambda: build_confusion(pairs)):
