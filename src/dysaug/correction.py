@@ -67,6 +67,8 @@ class ConfusionMatrix:
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "symbols", tuple(self.symbols))
         k = len(self.symbols)
+        if not k:
+            raise ValueError('symbols must hold at least the null symbol ""')
         if p.shape != (k, k):
             raise ValueError(f"probability matrix shape {p.shape} does not match {k} symbols")
         if self.symbols[0] != "":

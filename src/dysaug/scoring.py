@@ -1,22 +1,25 @@
 """Levenshtein alignment and WER/CER scoring.
 
 Alignment is a bit-parallel Levenshtein DP (Myers 1999, in Hyyrö's 2004
-global form, with a backtrace): each hypothesis token updates a whole
-column of the cost table in a few integer operations, whatever the
-reference length.  Every step keeps its ints non-negative (XOR with the
-row mask stands in for bitwise NOT), which CPython handles faster.  It
-uses unit costs with a fixed backtrace preference (hit > substitute >
-delete > insert) so that error decompositions and confusion counts are
-identical across runs and platforms.  A pair of equal tokens always
-leaves the cost unchanged on the diagonal, so the backtrace takes it as a
-hit without reading the bit columns; only the other moves read them.
+global form, with a backtrace).  One column step, `_columns`, serves every
+alignment: each hypothesis token updates a whole column of the cost table
+in a few operations on non-negative ints, whatever the reference length.
+Costs are unit, and one fixed rule breaks backtrace ties, hit >
+substitute > delete > insert, so error decompositions and confusion
+counts are identical across runs and platforms.  A pair of equal tokens
+always leaves the cost unchanged on the diagonal, so the backtrace takes
+it as a hit without reading the bit columns; only the other moves read
+them.
 
-Character pairs (`score` with unit='char', and `build_confusion`) are
-aligned many at a time, after Hyyrö, Fredriksson & Navarro (ACM JEA 2005):
-consecutive pairs share one column step, each in its own byte-aligned lane
-of bits with at least one guard bit above its rows, so no carry or shift
-crosses from one lane into the next, and each lane keeps its own DP and
-backtrace.  `_passes` alone plans the passes, once, as the pairs stream in:
+`align` and word pairs run the step on one table, its rows from bit 0.
+Character pairs (`score` with unit='char', and `build_confusion`) run it on
+many tables at once, after Hyyrö, Fredriksson & Navarro (ACM JEA 2005):
+consecutive pairs share one step, each in its own byte-aligned lane of
+bits at its own offset, with at least one guard bit above its rows, so no
+carry or shift crosses from one lane into the next.  The step's `lows`
+holds the first row bit of every lane (1 for a single table), and the
+backtrace reads a pair's rows, and so its distance, from its lane's
+offset.  `_passes` alone plans the passes, once, as the pairs stream in:
 a pass holds at most _LANE_BITS = 4096 bits of lanes, and its column step
 costs at most twice what its pairs cost alone, so one long hypothesis does
 not drag short pairs through its columns.  Input is read at most one pass
@@ -111,38 +114,48 @@ def align(ref, hyp) -> Alignment:
 
 def _align(ref, hyp, hits: bool):
     """(ops, distance) of `align(ref, hyp)`, with its hit ops only if `hits`."""
-    peq = _match_bits(ref)
-    mask = (1 << len(ref)) - 1
-    # Column j of the cost table d, one bit per row (Myers 1999, in Hyyrö's
-    # 2004 global form): bit i-1 of vp/vn is set where d[i][j] - d[i-1][j]
-    # is +1/-1, bit i of hp/hn where d[i][j] - d[i][j-1] is; the top row's
-    # +1 is shifted into bit 0 of hp.  mask ^ y equals ~y on the bits below
-    # mask, the only ones read, and stays a non-negative int, whose bitwise
-    # ops are cheaper; no step carries bits above mask down into them.
+    cols = _columns(_match_bits(ref), hyp, (1 << len(ref)) - 1, 1)
+    return _backtrace(ref, hyp, cols, 0, hits)
+
+
+def _columns(peq, hyp, mask: int, lows: int) -> list:
+    """Columns 0..len(hyp) of the cost table d, as (vp, vn, hp, hn); cols[0]
+    is the top row's column (mask, 0, 0, 0).
+
+    One bit per row: bit i-1 of vp/vn is set where d[i][j] - d[i-1][j] is
+    +1/-1, bit i of hp/hn where d[i][j] - d[i][j-1] is.  peq[tok] has the
+    bit of every row whose reference token is tok set, and `mask` every
+    row's bit.  The top row's +1 is shifted into hp at `lows`, the bit of
+    row 1 in each table.  mask ^ y equals ~y on the bits below mask, the only ones read,
+    and stays a non-negative int, whose bitwise ops are cheaper; no step
+    carries bits above mask down into them.
+    """
     vp, vn = mask, 0
-    cols = [None]
+    cols = [(vp, vn, 0, 0)]
     for tok in hyp:
         eq = peq.get(tok, 0)
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = (vn | mask ^ (xh | vp)) << 1 | 1
+        hp = (vn | mask ^ (xh | vp)) << 1 | lows
         hn = (vp & xh) << 1
         vp = (hn | mask ^ (xv | hp)) & mask
         vn = hp & xv
         cols.append((vp, vn, hp, hn))
-    distance = len(hyp) + vp.bit_count() - vn.bit_count()
-    return _backtrace(ref, hyp, cols, 0, distance, hits), distance
+    return cols
 
 
-def _backtrace(ref, hyp, cols, shift: int, distance: int, hits: bool) -> list:
-    """The ops from d[len(ref)][len(hyp)] == distance back to d[0][0], in
-    order; hit ops are walked over but recorded only if `hits`.
+def _backtrace(ref, hyp, cols, shift: int, hits: bool):
+    """(ops, distance): the ops from d[len(ref)][len(hyp)] back to d[0][0],
+    in order; hit ops are walked over but recorded only if `hits`.
 
-    cols[j] holds column j's (vp, vn, hp, hn) for j >= 1, with row i of
-    the pair's table at bit shift + i - 1 (its lane's offset; 0 in `_align`).
+    cols are `_columns`' output, with row i of the pair's table at bit
+    shift + i - 1 (its lane's offset; 0 in `_align`).
     """
     i, j = len(ref), len(hyp)
-    cur = distance
+    vp, vn, _, _ = cols[j]
+    rows = ((1 << i) - 1) << shift
+    # d[i][j] is d[0][j] == j plus the vertical steps down column j
+    distance = cur = j + (vp & rows).bit_count() - (vn & rows).bit_count()
     ops: list[tuple[str, object, object]] = []
     while i and j:
         r = ref[i - 1]
@@ -177,7 +190,7 @@ def _backtrace(ref, hyp, cols, shift: int, distance: int, hits: bool) -> list:
         j -= 1
         ops.append((INSERT, None, hyp[j]))
     ops.reverse()
-    return ops
+    return ops, distance
 
 
 def _lane_bytes(ref) -> int:
@@ -214,13 +227,13 @@ def _align_lanes(pairs, hits: bool) -> list:
     Pair k owns lane k: _lane_bytes(ref) bytes from bit offset shift_k,
     its rows at the bottom and its guard bits above them.  Column j's eq
     joins every lane's match bytes for its hypothesis token j (zero bytes
-    once that hypothesis has ended) into one int; `lows`, bit 0 of every
-    non-empty lane, stands in for `_align`'s | 1.  A carry out of a lane's
-    top row stops in its guard bit, which vp and vn never hold (the final
-    & mask clears it).  A guard bit shifted up lands in padding, or on bit
-    0 of the next lane's hp, which | lows sets anyway (an empty lane has no
-    row to read it).  So each lane runs its own DP.  A lane's columns past
-    its hypothesis are never read.
+    once that hypothesis has ended) into one int, which `_columns` reads
+    as token j of range(columns); `lows` is bit 0 of every non-empty lane.
+    A carry out of a lane's top row stops in its guard bit, which vp and vn
+    never hold (the final & mask clears it).  A guard bit shifted up lands
+    in padding, or on bit 0 of the next lane's hp, which | lows sets anyway
+    (an empty lane has no row to read it).  So each lane runs its own DP.
+    A lane's columns past its hypothesis are never read.
     """
     if len(pairs) == 1:
         return [_align(*pairs[0], hits)]
@@ -239,28 +252,10 @@ def _align_lanes(pairs, hits: bool) -> list:
             lows |= 1 << shift
         shift += 8 * size
 
-    # the step of `_align`, on every lane at once; lane k of the joined
-    # little-endian bytes is bits shift_k and up
-    join, from_bytes = b"".join, int.from_bytes
-    vp, vn = mask, 0
-    cols = [(vp, vn, 0, 0)]
-    for col in zip(*lanes):
-        eq = from_bytes(join(col), "little")
-        xv = eq | vn
-        xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = (vn | mask ^ (xh | vp)) << 1 | lows
-        hn = (vp & xh) << 1
-        vp = (hn | mask ^ (xv | hp)) & mask
-        vn = hp & xv
-        cols.append((vp, vn, hp, hn))
-
-    out = []
-    for (ref, hyp), shift in zip(pairs, shifts):
-        vp, vn = cols[len(hyp)][:2]
-        rows = ((1 << len(ref)) - 1) << shift
-        distance = len(hyp) + (vp & rows).bit_count() - (vn & rows).bit_count()
-        out.append((_backtrace(ref, hyp, cols, shift, distance, hits), distance))
-    return out
+    # lane k of the joined little-endian bytes is bits shift_k and up
+    eqs = dict(enumerate(map(int.from_bytes, map(b"".join, zip(*lanes)), repeat("little"))))
+    cols = _columns(eqs, range(columns), mask, lows)
+    return [_backtrace(ref, hyp, cols, shift, hits) for (ref, hyp), shift in zip(pairs, shifts)]
 
 
 @dataclass

@@ -332,6 +332,12 @@ class TestConfusionMatrixValidation:
         with pytest.raises(ValueError, match=match):
             ConfusionMatrix.from_dict(obj)
 
+    def test_rejects_empty_alphabet(self):
+        from dysaug import ConfusionMatrix
+
+        with pytest.raises(ValueError, match="at least the null symbol"):
+            ConfusionMatrix((), np.zeros((0, 0)))
+
     def test_rejects_repeated_symbol(self, tmp_path):
         from dysaug import ConfusionMatrix
 
