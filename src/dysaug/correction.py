@@ -401,12 +401,13 @@ class _ProfileIndex:
         # the pick for a query with no character in any profile: its min-sum
         # with every word is 0, so every word is at distance exactly 1
         self._lowest_rank = words[by_key[0]]
-        self.starts = np.flatnonzero(np.diff(lengths, prepend=-1))
-        self.ends = np.append(self.starts[1:], len(words))
-        self.mass_lo = np.minimum.reduceat(self.mass, self.starts)
-        self.mass_hi = np.maximum.reduceat(self.mass, self.starts)
-        self._buckets = list(zip(self.starts.tolist(), self.ends.tolist(),
-                                 self.mass_lo.tolist(), self.mass_hi.tolist()))
+        # one (start, end, lowest mass, highest mass) per word length
+        starts = np.flatnonzero(np.diff(lengths, prepend=-1))
+        ends = np.append(starts[1:], len(words))
+        mass_lo = np.minimum.reduceat(self.mass, starts)
+        mass_hi = np.maximum.reduceat(self.mass, starts)
+        self._buckets = list(zip(starts.tolist(), ends.tolist(),
+                                 mass_lo.tolist(), mass_hi.tolist()))
         # The filter's float32 min-sum u over the h < K heavy symbols is
         # within h * 2^-24 * |q| of the float64 one: each term min(p, q) is
         # rounded once (rounding is monotone, so the min of the rounded

@@ -10,11 +10,21 @@ once per call or once per geometry:
 - The energies of all candidate windows, and of the continuation target,
   come from one prefix sum of the squared input per call (restarted every
   frame length, so quiet passages after loud ones keep their precision).
-- The candidate range of every frame is computed before the loop, so a
-  seek is one cross-correlation, one product of norms, one in-place
-  division and an argmax.
+- The candidate range of every frame, and the smallest candidate norm in
+  it, are computed before the loop.
+- A seek scores every candidate with a float32 cross-correlation of the
+  same float32 samples, divided by the float64 product of norms.  Where
+  the best of these scores beats every other by more than twice a derived
+  rounding margin (see `perturb_tempo`'s body), it is the float64 seek's
+  pick.  Otherwise only the span of candidates within twice the margin of
+  the best is scored again in float64 and its argmax taken, first on ties.
+  So the float32 filter changes no pick: it only saves the float64
+  correlation where the best is clear, about 99% of frames on speech-like
+  input.
 - A candidate whose normalizing product is at most 1e-12 scores 0: its
-  product is set to infinity before the division.
+  product is set to infinity before the division.  A frame with such a
+  candidate, found from the smallest candidate norm, skips the filter and
+  is scored in float64 whole.
 - The window envelope depends only on the geometry for every returned
   sample: a head, then one hop-long period that repeats.  Both are built
   once per geometry and cached, and the output is divided by them in place.
@@ -85,6 +95,26 @@ def _geometry(frame: int, hop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return win, head, period
 
 
+def _gamma(n: int, w: float) -> float:
+    """Higham's gamma_n = n w / (1 - n w) for unit roundoff w, infinite
+    once n w reaches 1/2."""
+    return n * w / (1 - n * w) if n * w < 0.5 else np.inf
+
+
+def _seek(x: np.ndarray, lo: int, hi: int, target: np.ndarray, denom: np.ndarray) -> int:
+    """The start in lo..hi whose frame has the largest float64 normalized
+    cross-correlation with `target`, first on ties.
+
+    denom holds each candidate's product of norms and is overwritten.  A
+    candidate whose product is at most 1e-12 scores 0: its product is set to
+    infinity, and ncc / inf is +-0, which argmax ranks as that 0.
+    """
+    ncc = np.correlate(x[lo : hi + len(target)], target, mode="valid")
+    denom[denom <= 1e-12] = np.inf
+    ncc /= denom
+    return lo + int(ncc.argmax())
+
+
 def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None = None) -> Waveform:
     """Stretch or compress duration by `factor` with pitch preserved.
 
@@ -114,9 +144,11 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     n_out = int(round(factor * n))
     n_frames = max(1, -(-n_out // hop))
 
-    # zero-pad so late frames and the continuation target stay in bounds
+    # zero-pad so late frames and the continuation target stay in bounds;
+    # x32 holds the same values, as the samples are float32
     x = np.zeros(n + frame + tol + hop)
     x[:n] = waveform.samples
+    x32 = x.astype(np.float32)
     max_start = len(x) - frame
 
     # norms[k] = ||x[k : k + frame]|| for every start k, from one prefix sum
@@ -131,6 +163,7 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     np.square(x, out=prefix[: len(x)])
     blocks = prefix.reshape(n_blocks, frame)
     np.cumsum(blocks, axis=1, out=blocks)
+    loudest = float(blocks[:, -1].max())
     norms = np.empty(len(prefix) - frame + 1)
     norms[0] = blocks[0, -1]
     np.subtract(prefix[frame:], prefix[:-frame], out=norms[1:])
@@ -145,22 +178,80 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     nominal = np.rint(np.arange(n_frames) * hop / factor)
     lo = np.maximum(nominal - tol, 0).astype(np.intp)
     hi = np.minimum(nominal + tol, max_start).astype(np.intp)
+    # least[m] = the smallest candidate norm of frame m (hi + 1 < len(norms))
+    bounds = np.empty(2 * n_frames, dtype=np.intp)
+    bounds[0::2] = lo
+    bounds[1::2] = hi + 1
+    least = np.minimum.reduceat(norms, bounds)[0::2]
+
+    # The seek scores candidate j by f_j = fl(d_j / q_j): d_j is the float64
+    # dot of its window with the target window t, q_j = fl(norms[j] * T^),
+    # T^ = norms[target].  The filter scores s_j = fl(c_j / q_j) from the
+    # float32 dot c_j of the same float32 samples.  It runs only on frames
+    # whose q_j all exceed 1e-12 (q_j >= fl(least * T^), as rounding is
+    # monotone); with D_j the exact dot, A_j = sum_i |x_i t_i|, u = 2^-53,
+    # F = frame and g = _gamma:
+    # - |c_j - D_j| <= g(F, 2^-24) A_j + F 2^-125 and |d_j - D_j| <= g(F, u) A_j,
+    #   whatever the summation order, blocking or fused multiply-adds
+    #   (Higham 2002, section 3.1).  The float64 products of float32 samples
+    #   are exact; a float32 product that underflows is off by less than
+    #   2^-126 even where subnormals are flushed to zero, at most doubled by
+    #   the later roundings while F 2^-24 < 1/2.
+    # - The two divisions round by u each, so
+    #   |s_j - f_j| <= (g(F, 2^-24) + g(F, u) + 3u) A_j / q_j + F 2^-124 / 1e-12.
+    # - A_j <= ||x_j|| ||t|| (Cauchy-Schwarz), and the computed norms can
+    #   fall short of these.  Each prefix entry is off by at most g(F, u)
+    #   times its block's energy, so a window energy, from three entries and
+    #   two roundings, is off by at most 4 g(F + 2, u) E, E the loudest
+    #   block's energy, which is at most 5/4 of its computed `loudest`.  A
+    #   quiet window beside a loud block can cancel to near 0, so with
+    #   rho = sqrt(5 g(F + 2, u) loudest), ||x_j|| <= norms[j] + rho and
+    #   ||x_j|| ||t|| / q_j <= (1 + rho / least) (1 + rho / T^) up to a few
+    #   roundings of u.
+    # So |s_j - f_j| <= margin = unit (1 + rho / least) (1 + rho / T^) + floor,
+    # where unit's factor 1 + 2^-20 covers those roundings and the ones made
+    # computing the margin and the threshold.  The first float64 argmax k*
+    # has s_k* >= f_k* - margin >= f_j - margin >= s_j - 2 margin for every
+    # j, so k* lies in the span of candidates within 2 margin of the best
+    # filter score.  Where the best is alone there, it is k*; otherwise the
+    # span is scored in float64, first index on ties (np.correlate takes
+    # each candidate's dot on its own, so the span's scores are bit for bit
+    # those of the whole range).  A frame with a product at most 1e-12 is
+    # scored in float64 whole, and so is every frame if F 2^-24 >= 1/2,
+    # where the margin is infinite.
+    unit = (_gamma(frame, 2.0**-24) + _gamma(frame, 2.0**-53) + 3 * 2.0**-53) * (1 + 2.0**-20)
+    rho = (5 * _gamma(frame + 2, 2.0**-53) * loudest) ** 0.5
+    floor = frame * 2.0**-124 / 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf or NaN only where least is 0
+        scale = unit * (1 + rho / least)
 
     acc = np.zeros(n_out + frame + hop)
     acc[:frame] += win * x[:frame]  # frame 0 starts at 0
     windowed = np.empty(frame)
     prev_start = 0
     positions = range(hop, n_frames * hop, hop)
-    for pos, lo_pos, hi_pos in zip(positions, lo[1:].tolist(), hi[1:].tolist()):
+    for pos, lo_pos, hi_pos, least_norm, frame_scale in zip(
+        positions, lo[1:].tolist(), hi[1:].tolist(), least[1:].tolist(), scale[1:].tolist()
+    ):
         target_pos = prev_start + hop
         target_norm = norms.item(target_pos)
-        ncc = np.correlate(x[lo_pos : hi_pos + frame], x[target_pos : target_pos + frame], mode="valid")
         denom = norms[lo_pos : hi_pos + 1] * target_norm
-        # a candidate whose normalizing product is at most 1e-12 scores 0:
-        # ncc / inf is +-0, which argmax ranks as that 0
-        denom[denom <= 1e-12] = np.inf
-        ncc /= denom
-        start = lo_pos + int(ncc.argmax())
+        if least_norm * target_norm > 1e-12:
+            scores = np.correlate(x32[lo_pos : hi_pos + frame], x32[target_pos : target_pos + frame],
+                                  mode="valid")
+            scores = scores / denom
+            best = int(scores.argmax())
+            margin = frame_scale * (1 + rho / target_norm) + floor
+            near = scores >= scores.item(best) - 2 * margin
+            if np.count_nonzero(near) == 1:
+                start = lo_pos + best
+            else:
+                span = near.nonzero()[0]
+                first, last = int(span[0]), int(span[-1])
+                start = _seek(x, lo_pos + first, lo_pos + last, x[target_pos : target_pos + frame],
+                              denom[first : last + 1])
+        else:
+            start = _seek(x, lo_pos, hi_pos, x[target_pos : target_pos + frame], denom)
         np.multiply(win, x[start : start + frame], out=windowed)
         acc[pos : pos + frame] += windowed
         prev_start = start

@@ -5,7 +5,12 @@ envelope change only how the output is computed, not which frame a seek
 picks or the value of any sample.  (With frames of a few samples, the two
 kernels' norms can differ in the last bit and tip an argmax between
 candidates that are exact multiples of the target; such frames are too
-short for speech and are not covered here.)"""
+short for speech and are not covered here.)
+
+On near-tie inputs, whose candidates score equal or within float32
+rounding of each other, the reference is the exhaustive float64 seek of
+`prefix_sum_perturb_tempo`: the float32 filter in front of the seek must
+not change a single pick."""
 
 import json
 from pathlib import Path
@@ -28,7 +33,7 @@ from dysaug import (
     write_wav,
 )
 
-from ._tempo_oracle import oracle_perturb_tempo
+from ._tempo_oracle import oracle_perturb_tempo, prefix_sum_perturb_tempo
 from .conftest import write_float32_file, write_pcm16_file
 
 RATE = 16000
@@ -101,6 +106,45 @@ def test_digital_silence_mid_clip_matches_oracle(factor):
     x[5 * RATE // 2 : 3 * RATE] = 0.0
     w = Waveform(x, RATE)
     assert np.array_equal(perturb_tempo(w, factor).samples, oracle_perturb_tempo(w, factor).samples)
+
+
+def _near_ties():
+    rng = np.random.default_rng(29)
+    tile64 = np.tile(0.4 * rng.standard_normal(64).astype(np.float32), RATE // 64)
+    tile80 = np.tile(0.4 * rng.standard_normal(80).astype(np.float32), RATE // 80)
+    loud = 0.5 * rng.standard_normal(RATE)
+    return {
+        # candidates a whole period apart are the same window, so exact ties
+        # and ties tipped by the last bit of a norm abound; a 1e-7 dither
+        # parts them by far less than float32 resolves
+        "tile64": tile64,
+        "tile80": tile80,
+        "tile64_dither": tile64 + 1e-7 * rng.standard_normal(RATE),
+        "tile80_dither": tile80 + 1e-7 * rng.standard_normal(RATE),
+        # every product of norms is below 1e-12, so every candidate scores 0;
+        # the second amplitude is a float32 subnormal
+        "noise_1e-20": 1e-20 * rng.standard_normal(RATE),
+        "noise_1e-41": 1e-41 * rng.standard_normal(RATE),
+        # quiet windows beside loud blocks, whose energies cancel to near 0
+        "tail_1e-9": np.concatenate([loud, 1e-9 * rng.standard_normal(RATE // 2)]),
+    }
+
+
+NEAR_TIES = _near_ties()
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_TIES))
+@pytest.mark.parametrize("geometry", [(512, 256, 160), (1024, 256, 200)],
+                         ids=lambda g: "-".join(map(str, g)))
+@pytest.mark.parametrize("factor", [0.5, 0.8, 1.3, 1.7])
+def test_near_ties_match_prefix_sum_kernel(name, geometry, factor):
+    # the float32 filter must leave every pick to the float64 seek wherever
+    # candidates score within its rounding of each other
+    w = Waveform(NEAR_TIES[name], RATE)
+    cfg = WsolaConfig(*geometry)
+    got = perturb_tempo(w, factor, cfg)
+    want = prefix_sum_perturb_tempo(w, factor, cfg)
+    assert np.array_equal(got.samples, want.samples)
 
 
 def test_batch_wavs_equal_oracle_chain(tmp_path):
