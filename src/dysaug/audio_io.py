@@ -124,6 +124,10 @@ class Waveform:
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
+    def __reduce__(self):
+        # rebuild through the constructor, so a copy is checked and read-only too
+        return (Waveform, (self.samples, self.sample_rate))
+
     def __len__(self) -> int:
         return len(self.samples)
 

@@ -23,8 +23,8 @@ once per call or once per geometry:
   input.
 - A candidate whose normalizing product is at most 1e-12 scores 0: its
   product is set to infinity before the division.  A frame with such a
-  candidate, found from the smallest candidate norm, skips the filter and
-  is scored in float64 whole.
+  candidate, found from the smallest candidate norm, skips the filter, and
+  the same float64 seek scores its whole span.
 - The window envelope depends only on the geometry for every returned
   sample: a head, then one hop-long period that repeats.  Both are built
   once per geometry and cached, and the output is divided by them in place.
@@ -99,20 +99,6 @@ def _gamma(n: int, w: float) -> float:
     """Higham's gamma_n = n w / (1 - n w) for unit roundoff w, infinite
     once n w reaches 1/2."""
     return n * w / (1 - n * w) if n * w < 0.5 else np.inf
-
-
-def _seek(x: np.ndarray, lo: int, hi: int, target: np.ndarray, denom: np.ndarray) -> int:
-    """The start in lo..hi whose frame has the largest float64 normalized
-    cross-correlation with `target`, first on ties.
-
-    denom holds each candidate's product of norms and is overwritten.  A
-    candidate whose product is at most 1e-12 scores 0: its product is set to
-    infinity, and ncc / inf is +-0, which argmax ranks as that 0.
-    """
-    ncc = np.correlate(x[lo : hi + len(target)], target, mode="valid")
-    denom[denom <= 1e-12] = np.inf
-    ncc /= denom
-    return lo + int(ncc.argmax())
 
 
 def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None = None) -> Waveform:
@@ -216,42 +202,46 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     # filter score.  Where the best is alone there, it is k*; otherwise the
     # span is scored in float64, first index on ties (np.correlate takes
     # each candidate's dot on its own, so the span's scores are bit for bit
-    # those of the whole range).  A frame with a product at most 1e-12 is
-    # scored in float64 whole, and so is every frame if F 2^-24 >= 1/2,
-    # where the margin is infinite.
+    # those of the whole range).  A frame with a product at most 1e-12
+    # skips the filter, so the same float64 seek scores its whole span, as
+    # it does every frame's if F 2^-24 >= 1/2, where the margin is infinite.
     unit = (_gamma(frame, 2.0**-24) + _gamma(frame, 2.0**-53) + 3 * 2.0**-53) * (1 + 2.0**-20)
     rho = (5 * _gamma(frame + 2, 2.0**-53) * loudest) ** 0.5
     floor = frame * 2.0**-124 / 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):  # inf or NaN only where least is 0
-        scale = unit * (1 + rho / least)
 
     acc = np.zeros(n_out + frame + hop)
     acc[:frame] += win * x[:frame]  # frame 0 starts at 0
     windowed = np.empty(frame)
     prev_start = 0
     positions = range(hop, n_frames * hop, hop)
-    for pos, lo_pos, hi_pos, least_norm, frame_scale in zip(
-        positions, lo[1:].tolist(), hi[1:].tolist(), least[1:].tolist(), scale[1:].tolist()
-    ):
+    for pos, lo_pos, hi_pos, least_norm in zip(positions, lo[1:].tolist(), hi[1:].tolist(),
+                                               least[1:].tolist()):
         target_pos = prev_start + hop
         target_norm = norms.item(target_pos)
         denom = norms[lo_pos : hi_pos + 1] * target_norm
+        first, last = 0, hi_pos - lo_pos
         if least_norm * target_norm > 1e-12:
             scores = np.correlate(x32[lo_pos : hi_pos + frame], x32[target_pos : target_pos + frame],
                                   mode="valid")
             scores = scores / denom
             best = int(scores.argmax())
-            margin = frame_scale * (1 + rho / target_norm) + floor
+            margin = unit * (1 + rho / least_norm) * (1 + rho / target_norm) + floor
             near = scores >= scores.item(best) - 2 * margin
-            if np.count_nonzero(near) == 1:
-                start = lo_pos + best
-            else:
+            if np.count_nonzero(near) > 1:
                 span = near.nonzero()[0]
                 first, last = int(span[0]), int(span[-1])
-                start = _seek(x, lo_pos + first, lo_pos + last, x[target_pos : target_pos + frame],
-                              denom[first : last + 1])
-        else:
-            start = _seek(x, lo_pos, hi_pos, x[target_pos : target_pos + frame], denom)
+            else:
+                first = last = best
+        if first < last:
+            # the float64 seek: a product at most 1e-12 becomes infinity, and
+            # ncc / inf is +-0, which argmax ranks as that 0
+            ncc = np.correlate(x[lo_pos + first : lo_pos + last + frame],
+                               x[target_pos : target_pos + frame], mode="valid")
+            denom = denom[first : last + 1]
+            denom[denom <= 1e-12] = np.inf
+            ncc /= denom
+            first += int(ncc.argmax())
+        start = lo_pos + first
         np.multiply(win, x[start : start + frame], out=windowed)
         acc[pos : pos + frame] += windowed
         prev_start = start

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import gc
 import math
 import os
+import pickle
 import re
 import struct
 import subprocess
@@ -613,6 +615,17 @@ def test_waveform_samples_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         w.samples[1] = np.nan
     assert np.isfinite(w.samples).all()
+
+
+@pytest.mark.parametrize("clone", [lambda w: pickle.loads(pickle.dumps(w)), copy.deepcopy, copy.copy])
+def test_waveform_copies_keep_bytes_rate_and_read_only_samples(clone):
+    w = Waveform(np.array([0.5, -0.25, -0.0, 1.0], dtype=np.float32), 22050)
+    w2 = clone(w)
+    assert w2.samples.tobytes() == w.samples.tobytes()
+    assert w2.sample_rate == 22050 and type(w2.sample_rate) is int
+    with pytest.raises(ValueError, match="read-only"):
+        w2.samples[0] = 5.0
+    assert w2.samples.tobytes() == w.samples.tobytes()
 
 
 @pytest.mark.parametrize("writer, samples", [(write_pcm16_file, [0, 1, 2, -3]),

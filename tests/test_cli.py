@@ -201,6 +201,20 @@ class TestBatch:
         records = (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()
         assert len(records) == 4
 
+    def test_batch_clip_failing_some_severities_exits_1(self, tmp_path):
+        wav = tmp_path / "u.wav"
+        write_wav(make_tone(300.0, 700 / 16000), wav)  # too short for S2-S4
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps({"id": "u", "audio": str(wav)}) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        proc = run_cli("batch", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                       "--severities", "S1,S2,S3,S4", "--replication", "4", "--quiet")
+        assert proc.returncode == 1
+        for severity in ("S2", "S3", "S4"):
+            assert f"u_{severity}.wav: input of" in proc.stderr
+        records = (out_dir / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["id"] for line in records] == ["u_S1"]
+
     def test_batch_failure_reported_once(self, tmp_path):
         manifest = self._manifest(tmp_path, count=1)
         with open(manifest, "a", encoding="utf-8") as fout:

@@ -307,6 +307,12 @@ class TestDictionaryFile:
         with pytest.raises(ValueError, match="frequency"):
             load_dictionary(path)
 
+    def test_negative_frequency(self, tmp_path):
+        path = tmp_path / "dict.txt"
+        path.write_text("cat\t-3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"dict\.txt:1: negative frequency -3$"):
+            load_dictionary(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("\n\n")

@@ -290,6 +290,21 @@ class TestRunBatch:
         assert len(result.records) == 2
         assert result.failures == [("e", f"{empty}: no audio frames")]
 
+    def test_clip_too_short_for_some_severities_fails_only_those(self, tmp_path):
+        # 700 samples are 583 after S1's speed 1.2, but 500, 389 and 350
+        # after S2-S4's, less than one 512-sample WSOLA frame
+        path = tmp_path / "u.wav"
+        write_wav(make_tone(300.0, 700 / 16000), path)
+        out_dir = tmp_path / "out"
+        result = run_batch([ManifestEntry(id="u", audio=str(path))], SEVERITIES, 4, 0, out_dir)
+        assert [r.id for r in result.records] == ["u_S1"]
+        assert result.failures == [
+            ("u", f"{out_dir / f'u_{severity}.wav'}: input of {n} samples is shorter "
+                  "than one analysis frame (512)")
+            for severity, n in (("S2", 500), ("S3", 389), ("S4", 350))
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["u_S1.wav"]
+
     def test_parallel_matches_serial(self, tmp_path):
         entries = _write_manifest(tmp_path, count=4)
         serial = run_batch(entries, SEVERITIES, 2, 3, tmp_path / "s", jobs=1)
