@@ -42,8 +42,7 @@ KAISER_BETA = 8.6
 
 # `resample` refuses rates outside RATE_RANGE and rounds the rate ratio to at
 # most MAX_PHASES output phases, as `perturb_speed` rounds its factor: every
-# standard rate stays exact, and no in-range rate resampled to 16 kHz builds
-# more than 6.8 MiB of tiles (757,992 Hz, 2000/94749)
+# standard rate stays exact, and the filter tiles stay small (see `_tiles`)
 RATE_RANGE = (1000, 768000)
 MAX_PHASES = 2000
 # the highest rate whose byte rate (2 bytes a sample, one channel) fits the
@@ -263,16 +262,15 @@ TILE_ROWS = 64
 TILE_VALUES = 4000
 
 
-# with a 16 kHz resample pair at most 6.8 MiB (see RATE_RANGE) and a speed
-# pair at most 1.2 MiB, eight pairs stay under 55 MiB
 @lru_cache(maxsize=8)
 def _tiles(up: int, down: int) -> tuple:
     """Tile matrices of the windowed-sinc lowpass for one reduced (up, down).
 
     Returns (stride, row, tiles): row i of the padded input starts at sample
     i * stride and yields `row` outputs, and tile (q0, q1, b0, b1, h) makes
-    outputs q0 .. q1 - 1 of a row from its samples b0 .. b1 - 1.  The cache
-    shares the matrices between calls, so they are read-only.
+    outputs q0 .. q1 - 1 of a row from its samples b0 .. b1 - 1.  Tiles of
+    the same phases share one matrix, as calls share them through the cache,
+    so the matrices are read-only.
     """
     span = TAPS_PER_PHASE + 1
     m = np.arange(-(TAPS_PER_PHASE // 2) * up, (TAPS_PER_PHASE // 2) * up + 1)
@@ -286,27 +284,34 @@ def _tiles(up: int, down: int) -> tuple:
     stride = -(-2 * span // down) * down
     row = stride // down * up
     # output q of a row sits at q*down = k*up + r on the (x up) grid and reads
-    # samples k .. k + span - 1, so n adjacent outputs read at most width[n-1]
-    k, r = np.divmod(np.arange(row) * down, up)
-    n = np.arange(1, row + 1)
+    # samples k .. k + span - 1, so n adjacent outputs read at most width[n-1],
+    # which a tile keeps within the row stride and 7 spans (455 rows)
+    n = np.arange(1, TILE_VALUES // span + 1)
     width = (n - 1) * down // up + 1 + span
-    cols = n[(width <= stride) & (width * n <= TILE_VALUES)].max()
+    cols = n[(width <= min(stride, 7 * span)) & (width * n <= TILE_VALUES)].max()
+    # output q + up has the phase of output q and reads `down` samples later,
+    # so tiles narrower than `up` outputs are built for the first `up` outputs
+    # and repeated across the row: they hold at most up * 7 * span values;
+    # wider ones are at most ceil(2 * span / down) tiles of TILE_VALUES each
+    period = up if cols < up else row
+    k, r = np.divmod(np.arange(period) * down, up)
     tiles = []
-    for q0 in range(0, row, cols):
-        q = np.arange(q0, min(q0 + cols, row))
+    for q0 in range(0, period, cols):
+        q = np.arange(q0, min(q0 + cols, period))
         h = np.zeros((k[q[-1]] + span - k[q0], len(q)))
         h[k[q] - k[q0] + np.arange(span)[:, None], q - q0] = branches[r[q]].T
         h.flags.writeable = False
         tiles.append((q0, q[-1] + 1, k[q0], k[q[-1]] + span, h))
-    return stride, row, tuple(tiles)
+    return stride, row, tuple((q0 + j * up, q1 + j * up, b0 + j * down, b1 + j * down, h)
+                              for j in range(row // period) for q0, q1, b0, b1, h in tiles)
 
 
 def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
     """Polyphase resampling of a 1-D signal by the rational factor up/down.
 
     After reduction by their gcd, up may be at most MAX_PHASES and down / up
-    at most 768, the widest ratio of two rates in RATE_RANGE; any other pair
-    raises ValueError before anything is allocated.
+    at most 768, the widest ratio of two rates in RATE_RANGE; any other pair,
+    or an x that is not 1-D, raises ValueError before anything is allocated.
     Output length is ceil(len(x) * up / down); the result is aligned so that
     output sample j sits at input time j * down / up (no group delay), and
     it is a new float64 array.
@@ -330,6 +335,8 @@ def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
             f"output phases and a down/up ratio of {hi // lo}"
         )
     x = np.asarray(x)
+    if x.ndim != 1:
+        raise ValueError(f"resampled samples must be 1-D, got shape {x.shape}")
     if up == down or len(x) == 0:
         return x.astype(np.float64)
 

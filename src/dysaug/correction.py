@@ -214,6 +214,11 @@ class Dictionary:
         if "" in self.words:
             raise ValueError("dictionary words must not be empty")
         object.__setattr__(self, "freq", MappingProxyType(dict(self.freq)))
+        # the tie-break ranks by frequency: a NaN, a float or a string would
+        # order words by accident or fail only at the first correction
+        for word, count in self.freq.items():
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise ValueError(f"frequency of {word!r} must be a non-negative int, got {count!r}")
 
     def __reduce__(self):
         # a mapping proxy cannot be pickled: rebuild through the constructor

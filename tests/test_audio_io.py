@@ -332,13 +332,42 @@ class TestResample:
             assert up <= audio_io.MAX_PHASES
             assert abs(16000 * down / (rate * up) - 1) <= 251e-6
             _, _, tiles = audio_io._tiles(up, down)
-            assert sum(h.nbytes for *_, h in tiles) <= 7 * MB, rate
+            assert _distinct_tile_bytes(tiles) <= 7 * MB, rate
 
     def test_output_bounded(self):
         rng = np.random.default_rng(3)
         w = Waveform(np.clip(rng.normal(0, 0.6, 9000), -1, 1), 22050)
         out = resample(w, 16000)
         assert np.max(np.abs(out.samples)) <= 1.0
+
+
+def _distinct_tile_bytes(tiles):
+    """Bytes held by the tiles of one pair; a repeated matrix counts once."""
+    return sum({id(h): h.nbytes for *_, h in tiles}.values())
+
+
+def _tile_bytes_from_shapes(up, down):
+    """What `_distinct_tile_bytes(_tiles(up, down)[2])` gives, from the layout
+    rules alone: no tile is built.
+
+    A row of `stride` inputs gives `row` outputs, cut into runs of `cols`;
+    output q reads inputs q*down//up .. q*down//up + 64.  Where a run is
+    narrower than `up` outputs, only the runs of the first `up` outputs are
+    distinct, since output q + up reads what output q reads, `down` later.
+    """
+    span = audio_io.TAPS_PER_PHASE + 1
+    stride = -(-2 * span // down) * down
+    row = stride // down * up
+    # n outputs read more than n * span values, so a run is shorter than
+    # TILE_VALUES / span
+    n = np.arange(1, min(row, audio_io.TILE_VALUES // span) + 1)
+    width = (n - 1) * down // up + 1 + span
+    cols = n[(width <= min(stride, 7 * span)) & (width * n <= audio_io.TILE_VALUES)].max()
+    period = up if cols < up else row
+    q0 = np.arange(0, period, cols)
+    q1 = np.minimum(q0 + cols, period) - 1
+    height = q1 * down // up + span - q0 * down // up
+    return 8 * int(height @ (q1 - q0 + 1))
 
 
 def _dense_resample(x, up, down):
@@ -363,11 +392,17 @@ def _dense_resample(x, up, down):
 
 
 class TestResampleSequence:
-    # the 60000-sample input gives every pair at least three blocks of 64 rows
-    @pytest.mark.parametrize("up, down", [(160, 441), (441, 160), (320, 441),
-                                          (5, 6), (5, 7), (5, 9), (1, 2), (2, 1)])
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200, 4000, 20011, 60000])
-    def test_matches_dense_oracle(self, up, down, n):
+    # the 60000-sample input gives every pair of the first list at least three
+    # blocks of 64 rows.  The last four pairs have tiles built for one phase
+    # period of `up` outputs and repeated across the row, or (1999/768000)
+    # capped in height; the longer length of each gives one and a half rows
+    @pytest.mark.parametrize("n, up, down", [
+        (n, up, down)
+        for up, down in [(160, 441), (441, 160), (320, 441), (5, 6), (5, 7), (5, 9), (1, 2), (2, 1)]
+        for n in [1, 2, 63, 64, 65, 200, 4000, 20011, 60000]
+    ] + [(3, 768, 1), (195, 768, 1), (5, 1507, 2), (195, 1507, 2), (7, 2000, 3), (198, 2000, 3),
+         (800000, 1999, 768000), (1152000, 1999, 768000)])
+    def test_matches_dense_oracle(self, n, up, down):
         x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
         y = resample_sequence(x, up, down)
         expected = _dense_resample(x, up, down)
@@ -418,8 +453,8 @@ class TestResampleSequence:
         assert len(y) == -(-4000 * up // down)
 
     def test_tile_cache_keeps_eight_pairs(self):
-        # no pair that resample to 16 kHz builds exceeds 7 MiB, so eight
-        # pairs stay inside the 64 MiB the byte-counting cache allowed
+        # no pair that resample_sequence accepts builds more than 7 MiB, so
+        # eight pairs stay inside the 64 MiB the byte-counting cache allowed
         assert audio_io._tiles.cache_info().maxsize * 7 * MB <= 64 * MB
         audio_io._tiles.cache_clear()
         x = np.random.default_rng(0).uniform(-1.0, 1.0, 50)
@@ -434,6 +469,52 @@ class TestResampleSequence:
     def test_cached_tiles_are_read_only(self):
         _, _, tiles = audio_io._tiles(160, 441)
         assert not any(h.flags.writeable for *_, h in tiles)
+
+    @pytest.mark.parametrize("shape", [(), (2, 3), (3, 1), (1, 0)])
+    @pytest.mark.parametrize("up, down", [(160, 441), (3, 3)])
+    def test_input_that_is_not_1d_is_refused(self, shape, up, down):
+        x = np.zeros(shape)
+        with pytest.raises(ValueError, match=rf"^resampled samples must be 1-D, "
+                                             rf"got shape {re.escape(str(shape))}$"):
+            resample_sequence(x, up, down)
+
+
+class TestTileMemory:
+    # pairs whose tiles repeat across the row (768/1 to 101/100), one whose
+    # tiles are capped at 455 rows (1999/768000), and pairs whose layout is
+    # as it was: the benchmark's, the speed presets' and the widest ratios
+    BUILT = [(768, 1), (1507, 2), (2000, 3), (1999, 768000), (60, 1), (2000, 1), (1, 768),
+             (160, 441), (441, 160), (5, 6), (5, 7), (5, 9), (1, 2), (2, 1), (147, 160),
+             (2000, 94749), (101, 100), (999, 1000)]
+
+    @pytest.mark.parametrize("up, down", BUILT)
+    def test_shapes_give_the_bytes_of_the_built_tiles(self, up, down):
+        _, _, tiles = audio_io._tiles.__wrapped__(up, down)
+        assert _tile_bytes_from_shapes(up, down) == _distinct_tile_bytes(tiles) <= 7 * MB
+
+    def test_far_up_sampling_holds_under_a_mebibyte(self):
+        _, row, tiles = audio_io._tiles.__wrapped__(768, 1)
+        assert row == 130 * 768
+        assert _distinct_tile_bytes(tiles) <= MB
+
+    def test_every_accepted_pair_holds_at_most_7_mib(self):
+        # the layout bounds every pair: repeated tiles hold at most
+        # MAX_PHASES * 455 values (6.94 MiB), others at most 130 tiles of
+        # TILE_VALUES (3.97 MiB).  Sized from shapes, so no pair is built:
+        # every up the bound allows, against the downs at both ends of the
+        # ratio range, around the row stride (2 * 65 inputs) and the 455-row
+        # tile height, and random ones; resample_sequence reduces its pair,
+        # so pairs with a common factor are skipped
+        rng = np.random.default_rng(32)
+        worst = 0
+        for up in range(1, audio_io.MAX_PHASES + 1):
+            top = 768 * up
+            downs = {1, 2, 3, 64, 65, 66, 129, 130, 131, 454, 455, 456, up - 1, up + 1,
+                     2 * up + 1, top - 1, top, *rng.integers(1, top + 1, 4).tolist()}
+            for down in downs:
+                if 1 <= down <= top and down != up and math.gcd(up, down) == 1:
+                    worst = max(worst, _tile_bytes_from_shapes(up, down))
+        assert worst <= 7 * MB
 
 
 def _traced_peak(call):

@@ -4,6 +4,7 @@ import itertools
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -173,6 +174,18 @@ class TestCorrectWord:
         with pytest.raises(ValueError, match="at least one word"):
             Dictionary(words=frozenset(), freq={})
 
+    @pytest.mark.parametrize("count", [float("nan"), -1, "9", 1.5, True])
+    def test_frequency_must_be_a_non_negative_int(self, count):
+        # a NaN ranked "abd" over the more frequent "abe", and "9" failed only
+        # at the first correction, with a bare TypeError
+        with pytest.raises(ValueError, match=r"^frequency of 'abd' must be a non-negative int, "
+                                             rf"got {re.escape(repr(count))}$"):
+            Dictionary.from_words(["abd", "abe", "abf"], freq={"abd": count, "abe": 3})
+
+    def test_zero_and_large_frequencies_are_accepted(self):
+        d = Dictionary.from_words(["abd", "abe", "abf"], freq={"abd": 0, "abe": 2**70})
+        assert correct_word("abx", d) == "abe"
+
 
 class TestCorrectSentence:
     def test_empty(self):
@@ -274,7 +287,7 @@ def test_row_lists_the_nonzero_entries_in_column_order(clone):
             got = matrix.row(symbol)
             assert got == want
             assert all(type(p) is float for _, p in got)
-            assert matrix.row(symbol) == want  # kept from the first call
+            assert matrix.row(symbol) == want  # no cache: a second call builds it anew
     with pytest.raises(KeyError):
         soft.row("z")
 
