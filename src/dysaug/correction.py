@@ -159,23 +159,26 @@ def build_confusion(pairs, smoothing: float = 0.5,
     substitutions go to count[ref_char][hyp_char], deletions to the null
     column, insertions to the null row.  Rows are normalized with additive
     smoothing over the observed alphabet, so every row is a distribution
-    even for characters never seen as reference.
+    even for characters never seen as reference.  `pairs` may be any
+    iterable; it is read once, at most one pass of alignment ahead, so
+    memory does not grow with the corpus.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("cannot build a confusion matrix from no pairs")
     if not 0 < smoothing < math.inf:
         raise ValueError(
             f"smoothing must be positive and finite to keep rows stochastic, got {smoothing}")
 
     # reference characters and whole (kind, ref char, hyp char) edits are
-    # counted in C, then the edits folded into (ref char, hyp char) counts;
-    # "" stands for the missing side of an indel
+    # counted in C as the pairs stream in, then the edits folded into
+    # (ref char, hyp char) counts; "" stands for the missing side of an indel
     refs: Counter[str] = Counter()
     edits: Counter[tuple[str, object, object]] = Counter()
+    n_pairs = 0
     for ref, ops in scoring._edits(pairs, "char", arabic_normalization):
         refs.update(ref)
         edits.update(ops)
+        n_pairs += 1
+    if not n_pairs:
+        raise ValueError("cannot build a confusion matrix from no pairs")
     counts: Counter[tuple[str, str]] = Counter()
     for (_, ref_char, hyp_char), c in edits.items():
         counts[ref_char or "", hyp_char or ""] += c
@@ -200,6 +203,10 @@ def build_confusion(pairs, smoothing: float = 0.5,
 class Dictionary:
     """A correction vocabulary with optional word frequencies.
 
+    Words must be non-empty and hold no whitespace, as `correct_sentence`
+    splits its text at whitespace; the constructor raises ValueError
+    otherwise.
+
     The fields cannot be reassigned and `freq` is a read-only copy of the
     mapping given, so caches keyed on a dictionary's identity stay valid.
     """
@@ -213,6 +220,12 @@ class Dictionary:
             raise ValueError("dictionary must contain at least one word")
         if "" in self.words:
             raise ValueError("dictionary words must not be empty")
+        # correct_sentence splits text at whitespace, so a word holding some
+        # would turn one token into two; one join and one scan check them all
+        joined = "".join(self.words)
+        if joined.split() != [joined]:
+            spaced = min(word for word in self.words if word.split() != [word])
+            raise ValueError(f"dictionary word {spaced!r} holds whitespace")
         object.__setattr__(self, "freq", MappingProxyType(dict(self.freq)))
         # the tie-break ranks by frequency: a NaN, a float or a string would
         # order words by accident or fail only at the first correction
@@ -243,7 +256,8 @@ def load_dictionary(path) -> Dictionary:
 
     Whitespace around either field is ignored, blank lines are skipped, and
     duplicate lines are merged by summing their counts.  A count without a
-    word before its tab raises ValueError.
+    word before its tab, or a word holding whitespace (as a count after a
+    space would make it), raises ValueError naming the line.
     """
     freq: dict[str, int] = {}
     for lineno, line in enumerate(_read_text(path), 1):
@@ -262,7 +276,17 @@ def load_dictionary(path) -> Dictionary:
         freq[word] = freq.get(word, 0) + n
     if not freq:
         raise ValueError(f"{path}: no words found")
-    return Dictionary(words=frozenset(freq), freq=freq)
+    try:
+        return Dictionary(words=frozenset(freq), freq=freq)
+    except ValueError:
+        # the check this loop leaves to Dictionary is whitespace inside a
+        # word, as in "cat 12": a second pass names the first line with some
+        words = (line.partition("\t")[0].strip() for line in _read_text(path))
+        for lineno, word in enumerate(words, 1):
+            if len(word.split()) > 1:
+                raise ValueError(f"{path}:{lineno}: word {word!r} holds whitespace; "
+                                 "fields are tab-separated") from None
+        raise
 
 
 def profile(word: str, matrix: ConfusionMatrix | None = None) -> dict[str, float]:

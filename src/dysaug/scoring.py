@@ -24,7 +24,7 @@ a pass holds at most _LANE_BITS = 4096 bits of lanes, and its column step
 costs at most twice what its pairs cost alone, so one long hypothesis does
 not drag short pairs through its columns.  Input is read at most one pass
 ahead, so memory does not grow with the corpus.  Word pairs are aligned
-one at a time: a pass of 5-20-word pairs measured about 0.8x the speed of
+one at a time: a pass of 5-20-word pairs measured about 0.9x the speed of
 `align` per pair, as a word pair has too few columns to repay its lane.
 
 `score` and `build_confusion` never build an `Alignment` and never call

@@ -255,6 +255,9 @@ def test_one_long_hypothesis_is_a_pass_of_its_own(monkeypatch):
 
     alone_peak = peak(alone)
     assert peak(lambda: score(batch, unit="char")) <= 1.25 * alone_peak
+    report = score(batch, unit="char")
+    assert (report.substitutions, report.insertions, report.deletions) == (43, 19997, 0)
+    assert f"{report.error_rate:.3f}" == "45.237"
 
 
 @st.composite

@@ -248,6 +248,20 @@ class TestScoreCommand:
         assert values[0] == "1"  # one substitution
         assert values[-1] == "0.333"
 
+    @pytest.mark.parametrize("unit, last_line", [
+        pytest.param("word", "1\t0\t0\t0.167", id="word"),
+        pytest.param("char", "1\t0\t2\t0.143", id="char"),
+    ])
+    def test_errors_on_two_lines(self, tmp_path, unit, last_line):
+        # both lines' characters are aligned in one packed pass of lanes
+        refs = tmp_path / "r.txt"
+        hyps = tmp_path / "h.txt"
+        refs.write_text("the cat sat\non the mat\n", encoding="utf-8")
+        hyps.write_text("the cat sat\non a mat\n", encoding="utf-8")
+        proc = run_cli("score", "--refs", str(refs), "--hyps", str(hyps), "--unit", unit)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == last_line
+
     def test_utf8_bom_is_not_part_of_the_first_token(self, tmp_path):
         refs = tmp_path / "r.txt"
         hyps = tmp_path / "h.txt"

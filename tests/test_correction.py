@@ -298,6 +298,20 @@ def test_dictionary_rejects_the_empty_word(words):
         Dictionary.from_words(words)
 
 
+@pytest.mark.parametrize("words, spaced", [
+    pytest.param(["a b"], "a b", id="space"),
+    pytest.param(["cat", "cat 12"], "cat 12", id="count-after-a-space"),
+    pytest.param(["ok", " x"], " x", id="leading"),
+    pytest.param(["ok", "x\ty"], "x\ty", id="tab"),
+    pytest.param(["ok", "x\u2028y", "y\x85"], "x\u2028y", id="unicode-first-in-order"),
+])
+def test_dictionary_rejects_a_word_holding_whitespace(words, spaced):
+    # correct_sentence("ab", d) once gave "a b", one token turned into two
+    with pytest.raises(ValueError, match=f"^dictionary word {re.escape(repr(spaced))} "
+                                         "holds whitespace$"):
+        Dictionary.from_words(words)
+
+
 class TestDictionaryFile:
     def test_load_with_frequencies(self, tmp_path):
         path = tmp_path / "dict.txt"
@@ -318,6 +332,17 @@ class TestDictionaryFile:
         path = tmp_path / "dict.txt"
         path.write_text("cat\tmany\n")
         with pytest.raises(ValueError, match="frequency"):
+            load_dictionary(path)
+
+    @pytest.mark.parametrize("text, where", [
+        pytest.param("cat 12\ndog\t3\n", ":1: word 'cat 12'", id="line-1"),
+        pytest.param("dog\t3\n\na b\t9\nc d\n", ":3: word 'a b'", id="first-of-two"),
+    ])
+    def test_word_holding_whitespace_names_its_line(self, tmp_path, text, where):
+        path = tmp_path / "dict.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + where)} holds whitespace; "
+                                             "fields are tab-separated$"):
             load_dictionary(path)
 
     def test_negative_frequency(self, tmp_path):

@@ -4,6 +4,7 @@ import json
 import pickle
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,34 @@ class TestBuildConfusion:
     def test_smoothing_must_be_positive_and_finite(self, smoothing):
         with pytest.raises(ValueError, match="smoothing must be positive and finite"):
             build_confusion([("a", "a")], smoothing=smoothing)
+
+    def test_smoothing_is_checked_before_any_pair_is_read(self):
+        def pairs():
+            raise AssertionError("a pair was read")
+            yield
+
+        with pytest.raises(ValueError, match="smoothing must be positive and finite"):
+            build_confusion(pairs(), smoothing=0.0)
+
+    def test_memory_does_not_grow_with_the_corpus(self):
+        # the pairs stream in, so ten times the pairs must not hold ten
+        # times the memory; equal-length pairs give every pass one shape
+        def pairs(n):
+            rng = random.Random(5)
+            for _ in range(n):
+                ref = "".join(rng.choices("abcdefghij ", k=12))
+                i = rng.randrange(12)
+                yield ref, ref[:i] + rng.choice("abcdefghij ") + ref[i + 1:]
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                build_confusion(pairs(n))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20_000) <= 1.25 * peak(2_000)
 
     def test_save_load_round_trip(self, tmp_path):
         from dysaug import ConfusionMatrix

@@ -36,12 +36,16 @@ class TestLineBreaks:
 
     def test_dictionary(self, tmp_path):
         path = tmp_path / "d.txt"
-        path.write_bytes(
-            f"{BOM}cat\t1\ndog\t2\r\nemu\t3\rfox\x85gnu\t4\nhen\x0cyak\u2028owl\n{BOM}ant\n".encode()
-        )
+        path.write_bytes(f"{BOM}cat\t1\ndog\t2\r\nemu\t3\rfox\t4\n{BOM}ant\n".encode())
         d = load_dictionary(path)
-        assert dict(d.freq) == {"cat": 1, "dog": 2, "emu": 3, "fox\x85gnu": 4,
-                                "hen\x0cyak\u2028owl": 0, f"{BOM}ant": 0}
+        assert dict(d.freq) == {"cat": 1, "dog": 2, "emu": 3, "fox": 4, f"{BOM}ant": 0}
+        # \x85, \x0c and U+2028 stay inside their line, where they are
+        # whitespace inside a word, which `correct` would split in two
+        for word in ("fox\x85gnu", "hen\x0cyak", "yak\u2028owl"):
+            path.write_bytes(f"cat\t1\ndog\r\n{word}\t4\n".encode())
+            with pytest.raises(ValueError, match=rf"d\.txt:3: word {re.escape(repr(word))} "
+                                                 "holds whitespace"):
+                load_dictionary(path)
 
     def test_manifest(self, tmp_path):
         path = tmp_path / "m.jsonl"
