@@ -19,6 +19,7 @@ import argparse
 import logging
 import os
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 # each command imports the modules it runs, so that `score` and `--help`
@@ -91,12 +92,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_aligned(refs_path: str, hyps_path: str) -> list[tuple[str, str]]:
-    refs, hyps = list(_read_text(refs_path)), list(_read_text(hyps_path))
-    if len(refs) != len(hyps):
-        raise ValueError(f"refs and hyps are not line-aligned: {refs_path} has {len(refs)} "
-                         f"lines, {hyps_path} has {len(hyps)}")
-    return list(zip(refs, hyps))
+def _read_aligned(refs_path: str, hyps_path: str):
+    """Yield (ref, hyp) line pairs, reading one line of each file at a time."""
+    refs, hyps = _read_text(refs_path), _read_text(hyps_path)
+    for n, pair in enumerate(zip_longest(refs, hyps), 1):
+        if None in pair:
+            # the shorter file ended at line n - 1; count the rest of the longer
+            r, h = (n - 1 if line is None else n + sum(1 for _ in lines)
+                    for line, lines in zip(pair, (refs, hyps)))
+            raise ValueError(f"refs and hyps are not line-aligned: {refs_path} has {r} "
+                             f"lines, {hyps_path} has {h}")
+        yield pair
 
 
 def _cmd_perturb(parser, args) -> int:
@@ -150,6 +156,8 @@ def _cmd_correct(parser, args) -> int:
 
     dictionary = load_dictionary(args.dict_path)
     matrix = ConfusionMatrix.load(args.confusion) if args.confusion else None
+    # read all of --in before --out is opened, so that a bad line late in the
+    # input leaves no partial output file behind
     lines = list(_read_text(args.in_path))
     with open(args.out_path, "w", encoding="utf-8") as fout:
         fout.writelines(correct_sentence(line, dictionary, matrix) + "\n" for line in lines)

@@ -267,6 +267,9 @@ def load_dictionary(path) -> Dictionary:
             if count:
                 raise ValueError(f"{path}:{lineno}: frequency without a word")
             continue
+        if len(word.split()) > 1:
+            raise ValueError(f"{path}:{lineno}: word {word!r} holds whitespace; "
+                             "fields are tab-separated")
         try:
             n = int(count) if count else 0
         except ValueError:
@@ -276,17 +279,7 @@ def load_dictionary(path) -> Dictionary:
         freq[word] = freq.get(word, 0) + n
     if not freq:
         raise ValueError(f"{path}: no words found")
-    try:
-        return Dictionary(words=frozenset(freq), freq=freq)
-    except ValueError:
-        # the check this loop leaves to Dictionary is whitespace inside a
-        # word, as in "cat 12": a second pass names the first line with some
-        words = (line.partition("\t")[0].strip() for line in _read_text(path))
-        for lineno, word in enumerate(words, 1):
-            if len(word.split()) > 1:
-                raise ValueError(f"{path}:{lineno}: word {word!r} holds whitespace; "
-                                 "fields are tab-separated") from None
-        raise
+    return Dictionary(words=frozenset(freq), freq=freq)
 
 
 def profile(word: str, matrix: ConfusionMatrix | None = None) -> dict[str, float]:

@@ -111,18 +111,16 @@ class AugmentRecord(ManifestEntry):
             )
 
 
-def _read_text(path, errors=None):
+def _read_text(path):
     r"""Yield the lines of a UTF-8 text file with an optional BOM, as text mode
-    splits them (at "\n", "\r\n" and "\r" only), without their breaks."""
-    try:
-        with open(path, encoding="utf-8-sig", errors=errors) as fin:
-            for line in fin:
-                yield line.rstrip("\n")
-    except UnicodeDecodeError:
-        # text mode decodes ahead, in blocks: a second pass finds the bad byte's line
-        lines = enumerate(_read_text(path, errors="surrogateescape"), 1)
-        line = next(n for n, text in lines if _lone_surrogate(text))
-        raise ValueError(f"{path}:{line}: not valid UTF-8") from None
+    splits them (at "\n", "\r\n" and "\r" only), without their breaks.  One
+    pass, so the file may be a pipe: a byte that is not UTF-8 decodes to a lone
+    surrogate, which valid UTF-8 never yields, so it marks the first bad line."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fin:
+        for lineno, line in enumerate(fin, 1):
+            if not line.isascii() and _lone_surrogate(line):
+                raise ValueError(f"{path}:{lineno}: not valid UTF-8")
+            yield line.rstrip("\n")
 
 
 def _parse_json(text: str):

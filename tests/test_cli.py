@@ -1,21 +1,27 @@
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 import wave
 
 import numpy as np
 import pytest
 
-from dysaug import ManifestEntry, write_wav
+from dysaug import ManifestEntry, cli, write_wav
 
 from .conftest import make_tone, write_float32_file, write_pcm16_file
 
 
-def run_cli(*args):
+def run_cli(*args, input=None):
+    # `input` is written to stdin; a surrogate escape in it, such as "\udcff",
+    # writes its raw byte, as a pipe from another program may carry one
     return subprocess.run(
         [sys.executable, "-m", "dysaug", *args],
+        input=input,
         capture_output=True,
         text=True,
+        errors="surrogateescape",
     )
 
 
@@ -280,6 +286,54 @@ class TestScoreCommand:
         assert proc.returncode == 1
         assert "line-aligned" in proc.stderr
         assert f"{refs} has 2 lines, {hyps} has 1" in proc.stderr, proc.stderr
+
+    @pytest.mark.parametrize("ref_lines, hyp_lines", [(1, 3), (0, 2)])
+    def test_misaligned_counts_the_longer_file_to_its_end(self, tmp_path, ref_lines, hyp_lines):
+        refs = tmp_path / "r.txt"
+        hyps = tmp_path / "h.txt"
+        refs.write_text("a\n" * ref_lines, encoding="utf-8")
+        hyps.write_text("a\n" * hyp_lines, encoding="utf-8")
+        proc = run_cli("confusion", "--refs", str(refs), "--hyps", str(hyps),
+                       "--out", str(tmp_path / "m.json"))
+        assert proc.returncode == 1
+        assert proc.stderr == (f"dysaug: refs and hyps are not line-aligned: {refs} has "
+                               f"{ref_lines} lines, {hyps} has {hyp_lines}\n")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(["score"], id="score-word"),
+        pytest.param(["score", "--unit", "char"], id="score-char"),
+        pytest.param(["confusion"], id="confusion"),
+    ])
+    def test_memory_does_not_grow_with_the_corpus(self, tmp_path, capsys, args):
+        # the pairs stream from the two files, so ten times the lines must
+        # not hold ten times the memory; load what the commands import first
+        import numpy  # noqa: F401
+        import dysaug.correction  # noqa: F401
+
+        refs = tmp_path / "r.txt"
+        hyps = tmp_path / "h.txt"
+        if args[0] == "confusion":
+            args = [*args, "--out", str(tmp_path / "m.json")]
+
+        def peak(n):
+            rng = random.Random(5)
+            with open(refs, "w") as fr, open(hyps, "w") as fh:
+                for _ in range(n):
+                    words = ["".join(rng.choices("abcdefghij", k=4)) for _ in range(4)]
+                    fr.write(" ".join(words) + "\n")
+                    words[rng.randrange(4)] = "xyz"
+                    fh.write(" ".join(words) + "\n")
+            tracemalloc.start()
+            try:
+                assert cli.main([*args, "--refs", str(refs), "--hyps", str(hyps)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the peaks are tens of KiB, and a few tens of KiB move with what
+        # earlier tests left behind; holding the lines would add megabytes
+        assert peak(20_000) <= 1.25 * peak(2_000) + 2**16
 
     def test_bad_unit_exits_2(self):
         proc = run_cli("score", "--refs", "r", "--hyps", "h", "--unit", "syllable")

@@ -337,6 +337,7 @@ class TestDictionaryFile:
     @pytest.mark.parametrize("text, where", [
         pytest.param("cat 12\ndog\t3\n", ":1: word 'cat 12'", id="line-1"),
         pytest.param("dog\t3\n\na b\t9\nc d\n", ":3: word 'a b'", id="first-of-two"),
+        pytest.param("cat\nd g\nemu\t-1\n", ":2: word 'd g'", id="before-a-bad-count"),
     ])
     def test_word_holding_whitespace_names_its_line(self, tmp_path, text, where):
         path = tmp_path / "dict.txt"

@@ -124,6 +124,10 @@ _MATRIX = b'{"alphabet": ["", "a"], "probabilities": [[1, 0], [0, 1]]}'
                  id="hyps-utf8"),
     pytest.param("batch", "m.jsonl", _ENTRY + b'{"id": "u2", "audio": "\xff.wav"}\n', ":2",
                  "not valid UTF-8", id="manifest-utf8"),
+    # the first bad line wins, though text mode decodes the next one with it
+    pytest.param("batch", "m.jsonl", b'not json\n{"id": "u2", "audio": "\xff.wav"}\n', ":1",
+                 "invalid JSON: Expecting value: line 1 column 1 (char 0)",
+                 id="manifest-json-before-utf8"),
     # past the first 8 KiB block that text mode decodes
     pytest.param("correct", "d.txt", b"\xef\xbb\xbf" + b"cat\r" * 3000 + b"dog\r\n\xc3\n",
                  ":3002", "not valid UTF-8", id="dictionary-utf8"),
@@ -150,5 +154,24 @@ def test_hostile_text_input_is_one_error_line(tmp_path, command, bad, data, wher
     assert proc.returncode == 1
     assert re.fullmatch(f"dysaug: {re.escape(paths[bad] + where)}: {re.escape(reason)}\n",
                         proc.stderr), proc.stderr
-    # a bad manifest fails as it is read, before any output exists
-    assert not out_dir.exists()
+    # a bad input fails as it is read, before any output exists
+    assert not out_dir.exists() and not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("command, data, error", [
+    pytest.param("score", "the cat\non \udcff mat\n", "2: not valid UTF-8", id="hyps-utf8"),
+    pytest.param("correct", "cat\na b\t3\n",
+                 "2: word 'a b' holds whitespace; fields are tab-separated", id="dictionary"),
+])
+def test_a_piped_input_is_read_once_and_names_its_bad_line(tmp_path, command, data, error):
+    # a pipe cannot be read twice: the reader that meets the bad line names it
+    text = _write(tmp_path, "r.txt", b"the cat\non the mat\n")
+    out = tmp_path / "out.txt"
+    args = {
+        "score": ["--refs", text, "--hyps", "/dev/stdin"],
+        "correct": ["--dict", "/dev/stdin", "--in", text, "--out", str(out)],
+    }[command]
+    proc = run_cli(command, *args, input=data)
+    assert proc.returncode == 1
+    assert proc.stderr == f"dysaug: /dev/stdin:{error}\n"
+    assert not out.exists()
