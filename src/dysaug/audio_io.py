@@ -9,12 +9,12 @@ packs its own.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from pathlib import Path
 
 import numpy as np
 
@@ -48,6 +48,9 @@ MAX_PHASES = 2000
 # the highest rate whose byte rate (2 bytes a sample, one channel) fits the
 # 32-bit field of a RIFF fmt chunk
 MAX_WAV_RATE = (2**32 - 1) // 2
+# `read_wav` decodes this many bytes of the data chunk at a time (at least
+# one frame), so its memory beside the mix does not grow with the file
+READ_BLOCK_BYTES = 1 << 18
 
 
 class WavFormatError(ValueError):
@@ -136,46 +139,41 @@ class Waveform:
         return len(self.samples) / self.sample_rate
 
 
-def read_wav(path) -> Waveform:
-    """Read a RIFF/WAVE file as a mono waveform.
+def _data_layout(fin, path) -> tuple[np.dtype, int, int, int, int]:
+    """(sample dtype, channels, rate, offset, length) of the data chunk of
+    the RIFF/WAVE file open as `fin`.
 
-    Accepts 16-bit PCM and 32-bit IEEE float, any channel count.  Every
-    layout is decoded by one loop over the channels: they are added in
-    order (in float64 for a PCM16 mix, in float32 otherwise), the sum is
-    divided by the channel count when there is more than one, and PCM16 is
-    then scaled by 1/32768, which is exact in either dtype.  A mono file is
-    the same loop with no additions.
-
-    Raises FileNotFoundError for a missing file, WavFormatError for a
-    malformed container, a non-positive declared sample rate or non-finite
-    samples (in the float data or its mix), and UnsupportedCodecError for
-    any other codec.
+    The chunk table is scanned from the file itself: a repeated chunk id
+    keeps its last body, a body that runs past the end of the file is cut
+    there, and an odd-sized body is followed by a pad byte.
     """
-    raw = Path(path).read_bytes()
-    view = memoryview(raw)  # chunk bodies are sliced without copying
-    if len(raw) < 12 or raw[:4] != b"RIFF":
-        raise WavFormatError(f"{path}: not a RIFF file (leading bytes {raw[:4]!r})")
-    if raw[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: RIFF form type is {raw[8:12]!r}, expected b'WAVE'")
+    head = fin.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF":
+        raise WavFormatError(f"{path}: not a RIFF file (leading bytes {head[:4]!r})")
+    if head[8:12] != b"WAVE":
+        raise WavFormatError(f"{path}: RIFF form type is {head[8:12]!r}, expected b'WAVE'")
 
-    chunks = {}  # a repeated chunk id keeps its last body
+    end = os.fstat(fin.fileno()).st_size
+    chunks = {}  # id -> (offset, length) of its body
     pos = 12
-    while pos + 8 <= len(raw):
-        (size,) = struct.unpack_from("<I", raw, pos + 4)
-        chunks[raw[pos : pos + 4]] = view[pos + 8 : pos + 8 + size]
+    while pos + 8 <= end:
+        fin.seek(pos)
+        chunk_id, size = struct.unpack("<4sI", fin.read(8))
+        chunks[chunk_id] = (pos + 8, min(size, end - pos - 8))
         pos += 8 + size + (size & 1)  # chunks are word-aligned
-    fmt = chunks.get(b"fmt ")
-    data = chunks.get(b"data")
-    if fmt is None:
+    if b"fmt " not in chunks:
         raise WavFormatError(f"{path}: missing fmt chunk")
-    if data is None:
+    if b"data" not in chunks:
         raise WavFormatError(f"{path}: missing data chunk")
 
-    if len(fmt) < 16:
-        raise WavFormatError(f"{path}: fmt chunk too short: {len(fmt)} bytes")
+    offset, length = chunks[b"fmt "]
+    if length < 16:
+        raise WavFormatError(f"{path}: fmt chunk too short: {length} bytes")
+    fin.seek(offset)
+    fmt = fin.read(min(length, 26))
     format_tag, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt)
     if format_tag == 0xFFFE:  # WAVE_FORMAT_EXTENSIBLE: real tag sits in the sub-format GUID
-        if len(fmt) < 26:
+        if length < 26:
             raise WavFormatError(f"{path}: extensible fmt chunk missing sub-format")
         (format_tag,) = struct.unpack_from("<H", fmt, 24)
     if channels < 1:
@@ -191,24 +189,62 @@ def read_wav(path) -> Waveform:
             f"{path}: unsupported codec: format tag {format_tag} ({name}), "
             f"{bits}-bit; only 16-bit PCM and 32-bit float are readable"
         )
+    return dtype, channels, rate, *chunks[b"data"]
 
-    frame_bytes = channels * dtype.itemsize
-    usable = len(data) - len(data) % frame_bytes
-    columns = np.frombuffer(data[:usable], dtype=dtype).reshape(-1, channels)
-    pcm = dtype.kind == "i"
-    # column by column, as np.mean's reduction does up to 7 channels, but
-    # without its strided per-frame loop; float32 sums may overflow.  The
-    # first column's cast copies it off the file's read-only bytes.
-    mixed = columns[:, 0].astype(np.float64 if pcm and channels > 1 else np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c in range(1, channels):
-            mixed += columns[:, c]
-    if channels > 1:
-        mixed /= channels
-    if pcm:
-        mixed *= np.float32(PCM16_READ_SCALE)
+
+def read_wav(path) -> Waveform:
+    """Read a RIFF/WAVE file as a mono waveform.
+
+    Accepts 16-bit PCM and 32-bit IEEE float, any channel count.  Every
+    layout is decoded by one loop over the channels: they are added in
+    order (in float64 for a PCM16 mix, in float32 otherwise), the sum is
+    divided by the channel count when there is more than one, and PCM16 is
+    then scaled by 1/32768, which is exact in either dtype.  A mono file is
+    the same loop with no additions.
+
+    The file is never held whole: its chunk table is scanned with seeks,
+    and the data chunk is decoded READ_BLOCK_BYTES at a time, in whole
+    frames, into the float32 mix that the waveform adopts.  Each step is
+    per frame, so the blocks change no bit.  The path must name a seekable
+    file.
+
+    Raises FileNotFoundError for a missing file, WavFormatError for a
+    malformed container, a non-positive declared sample rate or non-finite
+    samples (in the float data or its mix), and UnsupportedCodecError for
+    any other codec.
+    """
+    with open(path, "rb") as fin:
+        dtype, channels, rate, offset, length = _data_layout(fin, path)
+        frame_bytes = channels * dtype.itemsize
+        n = length // frame_bytes
+        step = max(1, READ_BLOCK_BYTES // frame_bytes)  # frames per block
+        raw = bytearray(min(step, n) * frame_bytes)
+        pcm = dtype.kind == "i"
+        # a PCM16 mix of several channels is summed in float64, then cast
+        wide = np.empty(min(step, n)) if pcm and channels > 1 else None
+        mixed = np.empty(n, dtype=np.float32)
+        fin.seek(offset)
+        for i in range(0, n, step):
+            k = min(step, n - i)
+            view = memoryview(raw)[: k * frame_bytes]
+            if fin.readinto(view) != len(view):
+                raise WavFormatError(f"{path}: data chunk ended while it was read")
+            columns = np.frombuffer(view, dtype=dtype).reshape(k, channels)
+            # column by column, as np.mean's reduction does up to 7 channels,
+            # but without its strided per-frame loop; float32 sums may overflow
+            acc = mixed[i : i + k] if wide is None else wide[:k]
+            acc[:] = columns[:, 0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for c in range(1, channels):
+                    acc += columns[:, c]
+            if channels > 1:
+                acc /= channels
+            if pcm:
+                acc *= np.float32(PCM16_READ_SCALE)
+            if wide is not None:
+                mixed[i : i + k] = acc
     try:
-        return Waveform._adopt(mixed.astype(np.float32, copy=False), rate)
+        return Waveform._adopt(mixed, rate)
     except ValueError as exc:
         raise WavFormatError(f"{path}: {exc}") from None
 
@@ -315,11 +351,21 @@ def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
     Output length is ceil(len(x) * up / down); the result is aligned so that
     output sample j sits at input time j * down / up (no group delay), and
     it is a new float64 array.
+    """
+    return _resampled(x, up, down, np.float64)
+
+
+def _resampled(x: np.ndarray, up: int, down: int, dtype) -> np.ndarray:
+    """`resample_sequence` as a new array of `dtype`, the one resampling kernel.
+
     The zero-padded input is read as overlapping rows (see `_tiles`), and
     each tile of outputs is the product of a band of those rows with a tile.
-    The padded input is never built whole: one buffer holds the rows of one
-    block of TILE_ROWS rows, and each block's input is cast to float64 as it
-    is copied in, so besides the output a call allocates only that buffer.
+    Neither the padded input nor the float64 output is built whole: one
+    buffer holds the input rows of a block of TILE_ROWS rows, cast to
+    float64 as they are copied in, another that block's float64 outputs,
+    which are then cast into the result.  So besides the result a call
+    allocates only those two buffers, and a float32 result is the float64
+    one rounded.
     """
     if up <= 0 or down <= 0:
         raise ValueError(f"resampling factors must be positive, got {up}/{down}")
@@ -338,7 +384,7 @@ def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError(f"resampled samples must be 1-D, got shape {x.shape}")
     if up == down or len(x) == 0:
-        return x.astype(np.float64)
+        return x.astype(dtype)
 
     stride, row, tiles = _tiles(up, down)
     n_out = -(-len(x) * up // down)
@@ -346,7 +392,8 @@ def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
     lead = TAPS_PER_PHASE // 2
     block = np.empty(min(TILE_ROWS, n_rows) * stride + TAPS_PER_PHASE)
     rows = np.lib.stride_tricks.sliding_window_view(block, stride + TAPS_PER_PHASE)[::stride]
-    y = np.empty((n_rows, row))
+    y = np.empty((min(TILE_ROWS, n_rows), row))
+    out = np.empty(n_out, dtype=dtype)
     for h0 in range(0, n_rows, TILE_ROWS):
         # block[i] is sample h0 * stride + i of the padded input, i.e. x[start + i];
         # only the first block has a head pad, and only the last ones a tail
@@ -359,8 +406,10 @@ def resample_sequence(x: np.ndarray, up: int, down: int) -> np.ndarray:
         n = min(TILE_ROWS, n_rows - h0)
         for q0, q1, b0, b1, h in tiles:
             # a band is no wider than the row stride, so BLAS reads it in place
-            np.matmul(rows[:n, b0:b1], h, out=y[h0 : h0 + n, q0:q1])
-    return y.ravel()[:n_out]
+            np.matmul(rows[:n, b0:b1], h, out=y[:n, q0:q1])
+        done = y[:n].ravel()[: n_out - h0 * row]
+        out[h0 * row : h0 * row + len(done)] = done
+    return out
 
 
 def resample(waveform: Waveform, target_rate: int) -> Waveform:
@@ -379,5 +428,4 @@ def resample(waveform: Waveform, target_rate: int) -> Waveform:
     if target_rate == waveform.sample_rate:
         return waveform
     up, down = _up_down(waveform.sample_rate, target_rate, MAX_PHASES)
-    y = resample_sequence(waveform.samples, up, down)
-    return Waveform(y, target_rate)
+    return Waveform._adopt(_resampled(waveform.samples, up, down, np.float32), target_rate)

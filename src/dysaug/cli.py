@@ -29,6 +29,13 @@ from .manifest import SEVERITIES, _check_plan, _read_text, read_manifest, write_
 log = logging.getLogger("dysaug")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which `taskset` or a container may make fewer."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dysaug",
@@ -64,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of S1,S2,S3,S4")
     p.add_argument("--replication", type=int, default=2,
                    help="severity draws per utterance")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel workers")
+    p.add_argument("--jobs", type=int, default=_usable_cpus(),
+                   help="parallel workers (default: the CPUs this process may use)")
 
     p = sub.add_parser("confusion", parents=[common],
                        help="estimate a character confusion matrix from ref/hyp files")

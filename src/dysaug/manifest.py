@@ -42,8 +42,13 @@ _JSON_TYPES = ((type(None), "null"), (bool, "boolean"), ((int, float), "number")
 
 
 def _lone_surrogate(text: str) -> bool:
-    """Whether `text` holds a lone surrogate, the one code point UTF-8 cannot encode."""
-    return not text.isascii() and text.encode("utf-8", "replace").decode() != text
+    """Whether `text` holds a lone surrogate, the one code point UTF-8 cannot
+    encode; in a str every surrogate is lone, as an astral character is one."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def _preset(severity: str) -> tuple[float, float]:

@@ -9,7 +9,9 @@ rate fixed, i.e. the classic sox "speed" effect.
 
 from __future__ import annotations
 
-from .audio_io import Waveform, _up_down, resample_sequence
+import numpy as np
+
+from .audio_io import Waveform, _resampled, _up_down
 
 __all__ = ["SPEED_FACTOR_RANGE", "MIN_OUTPUT_SAMPLES", "perturb_speed"]
 
@@ -44,4 +46,5 @@ def perturb_speed(waveform: Waveform, factor: float) -> Waveform:
             f"speed factor {factor} on {len(waveform)} samples leaves "
             f"{n_out} samples, below the minimum of {MIN_OUTPUT_SAMPLES}"
         )
-    return Waveform(resample_sequence(waveform.samples, up, down), waveform.sample_rate)
+    return Waveform._adopt(_resampled(waveform.samples, up, down, np.float32),
+                           waveform.sample_rate)

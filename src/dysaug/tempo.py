@@ -5,13 +5,17 @@ alone: output frames are laid down at a fixed synthesis hop, and each one
 is copied from wherever, within a small tolerance around its nominal
 analysis position, the input best continues the previously copied frame.
 Only the seek and the overlap-add run per frame; everything else is done
-once per call or once per geometry:
+once per chunk of frames or once per geometry.  A chunk's frames read
+about TEMPO_CHUNK samples of input, so the work arrays have a fixed size
+whatever the clip's length, and a clip shorter than that is one chunk:
 
-- The energies of all candidate windows, and of the continuation target,
-  come from one prefix sum of the squared input per call (restarted every
-  frame length, so quiet passages after loud ones keep their precision).
-- The candidate range of every frame, and the smallest candidate norm in
-  it, are computed before the loop.
+- The energies of the chunk's candidate windows, and of its continuation
+  targets, come from one prefix sum of the squared input span it reads
+  (restarted every frame length from sample 0, so quiet passages after
+  loud ones keep their precision, and a window's energy is the same bits
+  in whichever chunk reads it).
+- The candidate range of every frame in the chunk, and the smallest
+  candidate norm in it, are computed before the chunk's loop.
 - A seek scores every candidate with a float32 cross-correlation of the
   same float32 samples, divided by the float64 product of norms.  Where
   the best of these scores beats every other by more than twice a derived
@@ -27,7 +31,8 @@ once per call or once per geometry:
   the same float64 seek scores its whole span.
 - The window envelope depends only on the geometry for every returned
   sample: a head, then one hop-long period that repeats.  Both are built
-  once per geometry and cached, and the output is divided by them in place.
+  once per geometry and cached.  Once a chunk's frames are added, its
+  output is final: it is divided by them in place and cast to float32.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ from .speed import _check_factor, perturb_speed
 __all__ = ["TEMPO_FACTOR_RANGE", "WsolaConfig", "perturb_tempo", "pertubate_signal"]
 
 TEMPO_FACTOR_RANGE = (0.25, 4.0)
+
+# `perturb_tempo` runs its frames in chunks of about this many input samples
+# (2 s at 16 kHz), so its float64 work arrays do not grow with the clip
+TEMPO_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -101,6 +110,33 @@ def _gamma(n: int, w: float) -> float:
     return n * w / (1 - n * w) if n * w < 0.5 else np.inf
 
 
+def _window_norms(x: np.ndarray, frame: int) -> tuple[np.ndarray, float]:
+    """(norms, loudest) of a span x of whole `frame`-length blocks.
+
+    norms[k] = ||x[k : k + frame]|| for every start k, from one prefix sum of
+    x*x that restarts every `frame` samples.  Each energy is then rounded
+    relative to the two blocks it spans, as a per-window sum is, not
+    relative to a running total over the span, whose rounding step would
+    exceed the energy of a quiet passage after seconds of loud input.
+    Window k = b*frame + r + 1 is block b after r plus block b+1 up to r:
+    total[b] + (prefix[b+1, r] - prefix[b, r]), clamped at 0 against
+    rounding; norms[0] is block 0's total.  So a window's norm depends only
+    on the two blocks it spans, and spans that start on the same block grid
+    give it bit for bit.  `loudest` is the largest block total.
+    """
+    blocks = np.square(x).reshape(-1, frame)
+    np.cumsum(blocks, axis=1, out=blocks)
+    prefix = blocks.ravel()
+    norms = np.empty(len(prefix) - frame + 1)
+    norms[0] = blocks[0, -1]
+    np.subtract(prefix[frame:], prefix[:-frame], out=norms[1:])
+    spans = norms[1:].reshape(-1, frame)
+    spans += blocks[:-1, -1:]
+    np.maximum(norms, 0.0, out=norms)
+    np.sqrt(norms, out=norms)
+    return norms, float(blocks[:, -1].max())
+
+
 def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None = None) -> Waveform:
     """Stretch or compress duration by `factor` with pitch preserved.
 
@@ -126,49 +162,26 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     hop = cfg.synthesis_hop
     tol = cfg.tolerance
     win, head, period = _geometry(frame, hop)
+    samples = waveform.samples
 
     n_out = int(round(factor * n))
     n_frames = max(1, -(-n_out // hop))
+    # as if the input were zero-padded by frame + tol + hop samples, so late
+    # frames and the continuation target stay in bounds
+    max_start = n + tol + hop
 
-    # zero-pad so late frames and the continuation target stay in bounds;
-    # x32 holds the same values, as the samples are float32
-    x = np.zeros(n + frame + tol + hop)
-    x[:n] = waveform.samples
-    x32 = x.astype(np.float32)
-    max_start = len(x) - frame
-
-    # norms[k] = ||x[k : k + frame]|| for every start k, from one prefix sum
-    # of x*x that restarts every `frame` samples.  Each energy is then
-    # rounded relative to the two blocks it spans, as a per-window sum is,
-    # not relative to a running total over the clip, whose rounding step
-    # would exceed the energy of a quiet passage after seconds of loud input.
-    # Window k = b*frame + r + 1 is block b after r plus block b+1 up to r:
-    # total[b] + (prefix[b+1, r] - prefix[b, r]), clamped at 0 against rounding.
-    n_blocks = len(x) // frame + 1
-    prefix = np.zeros(n_blocks * frame)
-    np.square(x, out=prefix[: len(x)])
-    blocks = prefix.reshape(n_blocks, frame)
-    np.cumsum(blocks, axis=1, out=blocks)
-    loudest = float(blocks[:, -1].max())
-    norms = np.empty(len(prefix) - frame + 1)
-    norms[0] = blocks[0, -1]
-    np.subtract(prefix[frame:], prefix[:-frame], out=norms[1:])
-    spans = norms[1:].reshape(n_blocks - 1, frame)
-    spans += blocks[:-1, -1:]
-    np.maximum(norms, 0.0, out=norms)
-    np.sqrt(norms, out=norms)
-    del prefix, blocks
-
-    # Candidate starts of frame m are lo[m]..hi[m] around the nominal
-    # m * hop / factor, rounded half to even as round() does.
-    nominal = np.rint(np.arange(n_frames) * hop / factor)
-    lo = np.maximum(nominal - tol, 0).astype(np.intp)
-    hi = np.minimum(nominal + tol, max_start).astype(np.intp)
-    # least[m] = the smallest candidate norm of frame m (hi + 1 < len(norms))
-    bounds = np.empty(2 * n_frames, dtype=np.intp)
-    bounds[0::2] = lo
-    bounds[1::2] = hi + 1
-    least = np.minimum.reduceat(norms, bounds)[0::2]
+    # The frames run in chunks of about TEMPO_CHUNK input samples each (a
+    # shorter clip is one chunk).  A chunk reads the span of input its seeks
+    # reach, from a frame-length block boundary, and overlap-adds into `acc`,
+    # whose sample 0 is output sample m0 * hop.  Once its frames are added,
+    # the chunk's hop-long periods of output are final: they are divided by
+    # the window envelope and cast into `out`, and the tail that later frames
+    # still add to moves to the front of `acc`.
+    n_chunks = -(-n // TEMPO_CHUNK)
+    per = -(-n_frames // n_chunks)
+    out = np.empty(n_out, dtype=np.float32)
+    acc = np.zeros(per * hop + frame)
+    windowed = np.empty(frame)
 
     # The seek scores candidate j by f_j = fl(d_j / q_j): d_j is the float64
     # dot of its window with the target window t, q_j = fl(norms[j] * T^),
@@ -188,9 +201,11 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     # - A_j <= ||x_j|| ||t|| (Cauchy-Schwarz), and the computed norms can
     #   fall short of these.  Each prefix entry is off by at most g(F, u)
     #   times its block's energy, so a window energy, from three entries and
-    #   two roundings, is off by at most 4 g(F + 2, u) E, E the loudest
-    #   block's energy, which is at most 5/4 of its computed `loudest`.  A
-    #   quiet window beside a loud block can cancel to near 0, so with
+    #   two roundings, is off by at most 4 g(F + 2, u) E, E the energy of
+    #   the loudest block it spans.  Every window a chunk scores, candidate
+    #   or target, lies in the chunk's span, so E is at most 5/4 of
+    #   `loudest`, the largest computed block energy of that span.  A quiet
+    #   window beside a loud block can cancel to near 0, so with
     #   rho = sqrt(5 g(F + 2, u) loudest), ||x_j|| <= norms[j] + rho and
     #   ||x_j|| ||t|| / q_j <= (1 + rho / least) (1 + rho / T^) up to a few
     #   roundings of u.
@@ -205,55 +220,92 @@ def perturb_tempo(waveform: Waveform, factor: float, config: WsolaConfig | None 
     # those of the whole range).  A frame with a product at most 1e-12
     # skips the filter, so the same float64 seek scores its whole span, as
     # it does every frame's if F 2^-24 >= 1/2, where the margin is infinite.
+    # The margin decides only where the float64 seek runs, never what it
+    # picks, so a chunk's own `loudest`, a tighter bound than the clip's,
+    # changes no pick.
     unit = (_gamma(frame, 2.0**-24) + _gamma(frame, 2.0**-53) + 3 * 2.0**-53) * (1 + 2.0**-20)
-    rho = (5 * _gamma(frame + 2, 2.0**-53) * loudest) ** 0.5
     floor = frame * 2.0**-124 / 1e-12
+    prev_start = 0  # where the previous frame was copied from
+    for m0 in range(0, n_frames, per):
+        m1 = min(m0 + per, n_frames)
+        # Candidate starts of frame m are lo[m]..hi[m] around the nominal
+        # m * hop / factor, rounded half to even as round() does.
+        nominal = np.rint(np.arange(m0, m1) * hop / factor)
+        lo = np.maximum(nominal - tol, 0).astype(np.intp)
+        hi = np.minimum(nominal + tol, max_start).astype(np.intp)
+        # The span the chunk reads holds every candidate window and every
+        # target (a pick plus hop, so at most hi + hop).  It starts on the
+        # block boundary before the lowest of them: a span's norms[0] is its
+        # first block's total, which only a span from sample 0 may use.
+        low = 0 if m0 == 0 else min(lo[0], prev_start + hop)
+        s0 = max(0, (low - 1) // frame) * frame
+        s1 = -(-(hi[-1] + hop + frame) // frame) * frame
+        x32 = np.zeros(s1 - s0, dtype=np.float32)
+        piece = samples[s0:s1]
+        x32[: len(piece)] = piece
+        x = x32.astype(np.float64)  # the same values, as the samples are float32
+        norms, loudest = _window_norms(x, frame)
+        lo -= s0
+        hi -= s0
+        # least[m] = the smallest candidate norm of frame m (hi + 1 < len(norms))
+        bounds = np.empty(2 * len(lo), dtype=np.intp)
+        bounds[0::2] = lo
+        bounds[1::2] = hi + 1
+        least = np.minimum.reduceat(norms, bounds)[0::2]
+        rho = (5 * _gamma(frame + 2, 2.0**-53) * loudest) ** 0.5  # the margin's, above
 
-    acc = np.zeros(n_out + frame + hop)
-    acc[:frame] += win * x[:frame]  # frame 0 starts at 0
-    windowed = np.empty(frame)
-    prev_start = 0
-    positions = range(hop, n_frames * hop, hop)
-    for pos, lo_pos, hi_pos, least_norm in zip(positions, lo[1:].tolist(), hi[1:].tolist(),
-                                               least[1:].tolist()):
-        target_pos = prev_start + hop
-        target_norm = norms.item(target_pos)
-        denom = norms[lo_pos : hi_pos + 1] * target_norm
-        first, last = 0, hi_pos - lo_pos
-        if least_norm * target_norm > 1e-12:
-            scores = np.correlate(x32[lo_pos : hi_pos + frame], x32[target_pos : target_pos + frame],
-                                  mode="valid")
-            scores = scores / denom
-            best = int(scores.argmax())
-            margin = unit * (1 + rho / least_norm) * (1 + rho / target_norm) + floor
-            near = scores >= scores.item(best) - 2 * margin
-            if np.count_nonzero(near) > 1:
-                span = near.nonzero()[0]
-                first, last = int(span[0]), int(span[-1])
-            else:
-                first = last = best
-        if first < last:
-            # the float64 seek: a product at most 1e-12 becomes infinity, and
-            # ncc / inf is +-0, which argmax ranks as that 0
-            ncc = np.correlate(x[lo_pos + first : lo_pos + last + frame],
-                               x[target_pos : target_pos + frame], mode="valid")
-            denom = denom[first : last + 1]
-            denom[denom <= 1e-12] = np.inf
-            ncc /= denom
-            first += int(ncc.argmax())
-        start = lo_pos + first
-        np.multiply(win, x[start : start + frame], out=windowed)
-        acc[pos : pos + frame] += windowed
-        prev_start = start
+        skip = int(m0 == 0)
+        if skip:
+            acc[:frame] += win * x[:frame]  # frame 0 starts at 0
+        prev = prev_start - s0
+        positions = range(skip * hop, (m1 - m0) * hop, hop)
+        for pos, lo_pos, hi_pos, least_norm in zip(positions, lo[skip:].tolist(),
+                                                   hi[skip:].tolist(), least[skip:].tolist()):
+            target_pos = prev + hop
+            target_norm = norms.item(target_pos)
+            denom = norms[lo_pos : hi_pos + 1] * target_norm
+            first, last = 0, hi_pos - lo_pos
+            if least_norm * target_norm > 1e-12:
+                scores = np.correlate(x32[lo_pos : hi_pos + frame],
+                                      x32[target_pos : target_pos + frame], mode="valid")
+                scores = scores / denom
+                best = int(scores.argmax())
+                margin = unit * (1 + rho / least_norm) * (1 + rho / target_norm) + floor
+                near = scores >= scores.item(best) - 2 * margin
+                if np.count_nonzero(near) > 1:
+                    span = near.nonzero()[0]
+                    first, last = int(span[0]), int(span[-1])
+                else:
+                    first = last = best
+            if first < last:
+                # the float64 seek: a product at most 1e-12 becomes infinity, and
+                # ncc / inf is +-0, which argmax ranks as that 0
+                ncc = np.correlate(x[lo_pos + first : lo_pos + last + frame],
+                                   x[target_pos : target_pos + frame], mode="valid")
+                denom = denom[first : last + 1]
+                denom[denom <= 1e-12] = np.inf
+                ncc /= denom
+                first += int(ncc.argmax())
+            prev = lo_pos + first
+            np.multiply(win, x[prev : prev + frame], out=windowed)
+            acc[pos : pos + frame] += windowed
+        prev_start = prev + s0
 
-    # renormalize by the envelope: the head, then whole periods (samples
-    # past n_out are divided too, but never returned)
-    split = min(len(head), n_out)
-    acc[:split] /= head[:split]
-    n_periods = max(0, -(-(n_out - split) // hop))
-    periods = acc[split : split + n_periods * hop].reshape(n_periods, hop)
-    periods /= period
-    return Waveform(acc[:n_out], waveform.sample_rate)
+        # Renormalize the finished periods by the envelope: output sample p
+        # is divided by head[p] below len(head), a whole number of hops, and
+        # by period[p % hop] from there (samples past n_out are divided too,
+        # but never returned).
+        done = (m1 - m0) * hop
+        p0 = m0 * hop
+        split = min(max(len(head) - p0, 0), done)
+        acc[:split] /= head[p0 : p0 + split]
+        periods = acc[split:done].reshape(-1, hop)
+        periods /= period
+        kept = min(done, n_out - p0)
+        out[p0 : p0 + kept] = acc[:kept]
+        acc[:frame] = acc[done : done + frame]
+        acc[frame:] = 0.0
+    return Waveform._adopt(out, waveform.sample_rate)
 
 
 def pertubate_signal(waveform: Waveform, params) -> Waveform:

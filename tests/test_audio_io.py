@@ -24,6 +24,9 @@ from dysaug import (
     UnsupportedCodecError,
     Waveform,
     WavFormatError,
+    params_for,
+    perturb_speed,
+    perturb_tempo,
     read_wav,
     resample,
     resample_sequence,
@@ -268,15 +271,15 @@ class TestWriteWav:
 
 
 def _resample_pair(monkeypatch, rate, target=16000):
-    """The (up, down) that resample hands resample_sequence for rate -> target."""
+    """The (up, down) that resample hands the resampling kernel for rate -> target."""
     pairs = []
-    real = audio_io.resample_sequence
+    real = audio_io._resampled
 
-    def spy(x, up, down):
+    def spy(x, up, down, dtype):
         pairs.append((up, down))
-        return real(x, up, down)
+        return real(x, up, down, dtype)
 
-    monkeypatch.setattr(audio_io, "resample_sequence", spy)
+    monkeypatch.setattr(audio_io, "_resampled", spy)
     resample(Waveform(np.zeros(3), rate), target)
     return pairs[-1]
 
@@ -559,6 +562,61 @@ class TestSignalPathMemory:
         assert peak <= 6 * n + MB
 
 
+def _float32_stereo_file(path, seconds, rate=44100):
+    """A float32 stereo WAV of `seconds` repeats of one second of noise,
+    written a second at a time."""
+    second = np.random.default_rng(8).uniform(-1.0, 1.0, (rate, 2)).astype("<f4").tobytes()
+    size = len(second) * seconds
+    fmt = struct.pack("<HHIIHH", 3, 2, rate, 8 * rate, 8, 32)
+    with open(path, "wb") as out:
+        out.write(b"RIFF" + struct.pack("<I", 20 + len(fmt) + size) + b"WAVE")
+        out.write(b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", size))
+        for _ in range(seconds):
+            out.write(second)
+    return path
+
+
+def _mono(seconds, rate):
+    second = np.random.default_rng(9).uniform(-0.8, 0.8, rate).astype(np.float32)
+    return Waveform(np.tile(second, seconds), rate)
+
+
+def _working_bytes(call):
+    """Peak bytes traced while `call` ran, beyond the samples it returned."""
+    call()  # caches filled, numpy warmed up
+    result, peak = _traced_peak(call)
+    return peak - result.samples.nbytes
+
+
+class TestWorkingMemory:
+    # each stage's memory beside its input and output is a fixed block size:
+    # ten times the clip costs at most a quarter more
+
+    def test_read_wav(self, tmp_path):
+        paths = {s: _float32_stereo_file(tmp_path / f"{s}.wav", s) for s in (12, 120)}
+        short, long = (_working_bytes(lambda: read_wav(paths[s])) for s in (12, 120))
+        assert long <= 1.25 * short
+
+    def test_resample(self):
+        short, long = (_working_bytes(lambda: resample(w, 16000))
+                       for w in (_mono(12, 44100), _mono(120, 44100)))
+        assert long <= 1.25 * short
+
+    @pytest.mark.parametrize("severity", ["S1", "S4"])
+    def test_perturb_speed(self, severity):
+        speed = params_for(severity).speed
+        short, long = (_working_bytes(lambda: perturb_speed(w, speed))
+                       for w in (_mono(12, 16000), _mono(120, 16000)))
+        assert long <= 1.25 * short
+
+    @pytest.mark.parametrize("severity", ["S1", "S4"])
+    def test_perturb_tempo(self, severity):
+        tempo = params_for(severity).tempo
+        short, long = (_working_bytes(lambda: perturb_tempo(w, tempo))
+                       for w in (_mono(12, 16000), _mono(120, 16000)))
+        assert long <= 1.25 * short
+
+
 BLAS_THREADS_SCRIPT = """
 import hashlib
 import numpy as np
@@ -756,6 +814,43 @@ def test_float32_downmix_equals_mean(tmp_path, channels):
         # two float32 sums differ by rounding of partial sums of magnitude
         # <= channels, which an absolute bound covers where signs cancel
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+
+
+# 24 bytes hold 1 to 12 frames at 1 to 10 channels, so 997 frames end mid-block
+@pytest.mark.parametrize("channels", range(1, 11))
+@pytest.mark.parametrize("kind", ["pcm16", "float32"])
+def test_downmix_equals_mean_in_small_blocks(monkeypatch, tmp_path, kind, channels):
+    monkeypatch.setattr(audio_io, "READ_BLOCK_BYTES", 24)
+    test = test_pcm16_downmix_equals_mean if kind == "pcm16" else test_float32_downmix_equals_mean
+    test(tmp_path, channels)
+
+
+def _chunk(chunk_id, body, size=None):
+    size = len(body) if size is None else size
+    return chunk_id + struct.pack("<I", size) + body + b"\x00" * (len(body) % 2)
+
+
+@pytest.mark.parametrize("block", [None, 1, 12], ids=["default", "1B", "12B"])
+@pytest.mark.parametrize("layout", ["repeated_data", "data_past_eof"])
+def test_read_wav_decodes_the_last_data_chunk_in_blocks(monkeypatch, tmp_path, block, layout):
+    # stereo PCM16 frames then 3 stray bytes: the data ends mid-frame, and
+    # for blocks of 1 and 3 frames (1 B and 12 B) its 11 frames end mid-block
+    if block is not None:
+        monkeypatch.setattr(audio_io, "READ_BLOCK_BYTES", block)
+    ints = np.random.default_rng(12).integers(-32768, 32768, size=(11, 2)).astype("<i2")
+    data = ints.tobytes() + b"\x07\x08\x09"
+    fmt = struct.pack("<HHIIHH", 1, 2, 16000, 64000, 4, 16)
+    if layout == "repeated_data":
+        # an odd-sized first data chunk, padded, is replaced by the last one
+        chunks = (_chunk(b"data", b"\x01" * 7) + _chunk(b"LIST", b"abc")
+                  + _chunk(b"fmt ", fmt) + _chunk(b"data", data))
+    else:
+        # the declared size runs past the end of the file, which cuts the body
+        chunks = _chunk(b"fmt ", fmt) + _chunk(b"data", b"", size=1000) + data
+    path = tmp_path / "layout.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+    want = ints.mean(axis=1) * (1.0 / 32768.0)
+    assert read_wav(path).samples.tobytes() == want.astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("rate, valid", [

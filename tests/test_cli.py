@@ -182,6 +182,13 @@ class TestBatch:
         assert "none.jsonl" not in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_batch_jobs_default_to_the_cpus_this_process_may_use(self, monkeypatch):
+        # under `taskset -c 0` on a machine of several CPUs
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        args = cli.build_parser().parse_args(["batch", "--manifest", "m.jsonl", "--out-dir", "o"])
+        assert args.jobs == 1
+
     def test_batch_rejects_escaping_id(self, tmp_path):
         work = tmp_path / "work"
         work.mkdir()

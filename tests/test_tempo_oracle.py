@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dysaug import tempo
 from dysaug import (
     SEVERITIES,
     Waveform,
@@ -76,6 +77,16 @@ def test_matches_oracle(name, geometry, factor):
     got = perturb_tempo(w, factor, cfg)
     want = oracle_perturb_tempo(w, factor, cfg)
     assert np.array_equal(got.samples, want.samples)
+
+
+@pytest.mark.parametrize("name", sorted(SIGNALS))
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=lambda g: "-".join(map(str, g)))
+@pytest.mark.parametrize("factor", [0.5, 0.8, 1.0, 1.7])
+def test_matches_oracle_in_chunks_of_a_few_frames(monkeypatch, name, geometry, factor):
+    # chunks of three hops of input hold one to six frames, so nearly every
+    # seek's candidates or target cross a chunk's span or its output
+    monkeypatch.setattr(tempo, "TEMPO_CHUNK", 3 * geometry[1])
+    test_matches_oracle(name, geometry, factor)
 
 
 @pytest.mark.parametrize("name", sorted(SIGNALS))
@@ -145,6 +156,19 @@ def test_near_ties_match_prefix_sum_kernel(name, geometry, factor):
     got = perturb_tempo(w, factor, cfg)
     want = prefix_sum_perturb_tempo(w, factor, cfg)
     assert np.array_equal(got.samples, want.samples)
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_TIES))
+@pytest.mark.parametrize("geometry", [(512, 256, 160), (1024, 256, 200)],
+                         ids=lambda g: "-".join(map(str, g)))
+@pytest.mark.parametrize("factor", [0.5, 0.8, 1.3, 1.7])
+def test_near_ties_match_prefix_sum_kernel_in_chunks_of_a_few_frames(monkeypatch, name,
+                                                                     geometry, factor):
+    # each chunk's margin is built from its own loudest block: on a quiet
+    # tail after loud noise it is far tighter than the clip's, and must
+    # still leave every near tie to the float64 seek
+    monkeypatch.setattr(tempo, "TEMPO_CHUNK", 3 * geometry[1])
+    test_near_ties_match_prefix_sum_kernel(name, geometry, factor)
 
 
 def test_batch_wavs_equal_oracle_chain(tmp_path):

@@ -135,6 +135,14 @@ _MATRIX = b'{"alphabet": ["", "a"], "probabilities": [[1, 0], [0, 1]]}'
                  id="correct-in-utf8"),
     pytest.param("batch", "m.jsonl", b'{"id": "u1", "audio": "a.wav", "text": "\\ud800"}\n',
                  ":1", "field 'text' holds a lone surrogate", id="manifest-surrogate"),
+    # an astral character passes on line 1; a surrogate pair encoded as two
+    # UTF-8 sequences (CESU-8) fails on line 2
+    pytest.param("correct", "in.txt", b"\xf0\x9f\x98\x80\n\xed\xa0\xbd\xed\xb8\x80\n", ":2",
+                 "not valid UTF-8", id="correct-in-astral-then-paired-surrogates"),
+    # an escaped pair decodes to one astral character; reversed, to two surrogates
+    pytest.param("batch", "m.jsonl", b'{"id": "u1", "audio": "a.wav", "text": "\\ud83d\\ude00"}\n'
+                 b'{"id": "u2", "audio": "a.wav", "text": "\\ude00\\ud83d"}\n', ":2",
+                 "field 'text' holds a lone surrogate", id="manifest-astral-then-reversed-pair"),
     pytest.param("correct", "c.json", _MATRIX.replace(b'"a"', b'"\\ud800"'), "",
                  "confusion matrix 'alphabet' holds a lone surrogate", id="confusion-surrogate"),
 ])
